@@ -1,7 +1,7 @@
 # Convenience targets; see README.md for details.
 
-.PHONY: install test bench bench-gate bench-serve bench-paper experiments \
-	examples serve-smoke columnar-smoke all
+.PHONY: install test bench bench-gate bench-serve bench-paper paper-check \
+	experiments examples serve-smoke all
 
 # Open-loop load profile for bench-serve (docs/serving.md).
 SERVE_RATE ?= 2
@@ -9,9 +9,6 @@ SERVE_DURATION ?= 30
 
 # Dataset preset for the pipeline bench (tiny keeps CI smoke fast).
 BENCH_PRESET ?= small
-
-# Profile backends the pipeline bench times (docs/columnar.md).
-BENCH_BACKENDS ?= objects,columnar
 
 install:
 	pip install -e .
@@ -23,14 +20,13 @@ test:
 # the repo's perf-trajectory baseline.  See DESIGN.md for the schema.
 bench:
 	PYTHONPATH=src python -m repro bench --preset $(BENCH_PRESET) \
-		--backends $(BENCH_BACKENDS) --repeats 3 --out BENCH_pipeline.json
+		--repeats 3 --out BENCH_pipeline.json
 
 # Re-bench and gate against the committed baseline without touching it
 # (exit 4 on regression; thresholds documented in docs/reports.md).
 bench-gate:
 	PYTHONPATH=src python -m repro bench --preset $(BENCH_PRESET) \
-		--backends $(BENCH_BACKENDS) --repeats 3 \
-		--out .bench-candidate.json --diff BENCH_pipeline.json
+		--repeats 3 --out .bench-candidate.json --diff BENCH_pipeline.json
 
 # Drive a live `repro serve --no-suite` with the open-loop load
 # generator for $(SERVE_DURATION)s and (re)write BENCH_serve.json — the
@@ -44,16 +40,17 @@ bench-serve:
 bench-paper:
 	pytest benchmarks/ --benchmark-only
 
+# Gate the paper's results: rerun every table/figure module (their shape
+# assertions must pass) and require the rendered tables in
+# benchmarks/output/ to come back byte-identical to the committed ones.
+paper-check:
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable -q
+	git diff --exit-code benchmarks/output/
+
 # Launch `repro serve` on a tiny suite, scrape /metrics mid-run, stream
 # /events, and require a clean SIGTERM shutdown (docs/live-telemetry.md).
 serve-smoke:
 	python scripts/serve_smoke.py
-
-# End-to-end columnar backend smoke: convert a tiny run, round-trip it
-# through the memmap file, check invariants, and diff both backends'
-# pipeline outputs (docs/columnar.md).
-columnar-smoke:
-	PYTHONPATH=src python scripts/columnar_smoke.py
 
 # Regenerate every paper table/figure at the default preset.
 experiments:

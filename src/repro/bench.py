@@ -96,21 +96,10 @@ PIPELINE_STAGES = (
 )
 
 
-def _run_once(spec, profile_backend: str = "objects") -> None:
+def _run_once(spec) -> None:
     from .workloads.runner import characterize_run, run_workload
 
-    characterize_run(run_workload(spec), profile_backend=profile_backend)
-
-
-def _bench_entry_name(system: str, backend: str) -> str:
-    """Systems-table key for a (system, backend) pair.
-
-    The objects backend keeps the bare system name so historical baselines
-    keep gating it; other backends get a suffixed entry (e.g.
-    ``giraph+columnar``).  Entries absent from an old baseline surface as
-    warnings, never failures, in :func:`compare_bench_docs`.
-    """
-    return system if backend == "objects" else f"{system}+{backend}"
+    characterize_run(run_workload(spec))
 
 
 def bench_pipeline(
@@ -122,7 +111,6 @@ def bench_pipeline(
     repeats: int = 3,
     seed: int = 0,
     measure_overhead: bool = True,
-    backends: Sequence[str] = ("objects",),
 ) -> dict[str, Any]:
     """Time the pipeline stages per system; returns the schema document.
 
@@ -130,46 +118,31 @@ def bench_pipeline(
     fresh local tracer and reads the per-stage wall-clock out of the
     trace.  ``measure_overhead`` adds one warmup-paired untraced run per
     system to estimate the cost of tracing itself (the *disabled* tracer
-    is a no-op guard; this measures the enabled one).  ``backends`` times
-    the pipeline once per profile backend; non-default backends appear as
-    ``<system>+<backend>`` entries so both cores' per-stage medians land
-    in one document.
+    is a no-op guard; this measures the enabled one).
     """
-    from .core.profile import PROFILE_BACKENDS
     from .workloads.runner import SYSTEMS, WorkloadSpec
 
     if systems is None:
         systems = SYSTEMS
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for backend in backends:
-        if backend not in PROFILE_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected one of {PROFILE_BACKENDS})"
-            )
-    if not backends:
-        raise ValueError("backends must not be empty")
 
     previous = obs.uninstall()  # bench owns the tracer for the duration
     try:
         doc_systems: dict[str, Any] = {}
         traced_total = 0.0
         untraced_total = 0.0
-        pairs = [(system, backend) for system in systems for backend in backends]
-        for system, backend in pairs:
+        for system in systems:
             spec = WorkloadSpec(system, dataset, algorithm, preset=preset, seed=seed)
-            _LOG.debug(
-                "benching system", system=system, backend=backend,
-                preset=preset, repeats=repeats,
-            )
-            _run_once(spec, backend)  # warmup: imports, caches, JIT-able paths
+            _LOG.debug("benching system", system=system, preset=preset, repeats=repeats)
+            _run_once(spec)  # warmup: imports, caches, JIT-able paths
 
             per_stage: dict[str, list[tuple[float, int]]] = {}
             totals: list[float] = []
             for _ in range(repeats):
                 tracer = obs.install()
                 t0 = time.perf_counter()
-                _run_once(spec, backend)
+                _run_once(spec)
                 total = time.perf_counter() - t0
                 obs.uninstall()
                 totals.append(total)
@@ -179,7 +152,7 @@ def bench_pipeline(
 
             if measure_overhead:
                 t0 = time.perf_counter()
-                _run_once(spec, backend)
+                _run_once(spec)
                 untraced_total += time.perf_counter() - t0
 
             stages = {
@@ -192,7 +165,7 @@ def bench_pipeline(
                 }
                 for name, samples in sorted(per_stage.items())
             }
-            doc_systems[_bench_entry_name(system, backend)] = {
+            doc_systems[system] = {
                 "total_s": {
                     "mean": sum(totals) / len(totals),
                     "median": median(totals),
@@ -214,7 +187,6 @@ def bench_pipeline(
             "algorithm": algorithm,
             "repeats": repeats,
             "seed": seed,
-            "backends": list(backends),
             "tracing_overhead": overhead,
             "systems": doc_systems,
             "environment": {

@@ -103,7 +103,7 @@ from statistics import median
 from . import obs, obs_logging
 from .algorithms import ALGORITHMS
 from .bench import DEFAULT_REL_THRESHOLD
-from .core import PROFILE_BACKENDS, render_report
+from .core import render_report
 from .core.export import write_profile_json
 from .core.simulation import SimulationError
 from .viz import Table, format_table, sparkline
@@ -199,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="capture a Chrome-trace of the pipeline run (open in Perfetto)",
     )
-    p_run.add_argument(
-        "--profile-backend", default="objects", choices=PROFILE_BACKENDS,
-        help="pipeline core: object graphs or columnar arrays "
-             "(equivalent outputs; default: %(default)s)",
-    )
     _add_output_options(p_run)
 
     p_an = sub.add_parser("analyze", help="characterize an archived run directory")
@@ -238,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--trace", metavar="PATH",
         help="capture a Chrome-trace of the analysis (open in Perfetto)",
-    )
-    p_an.add_argument(
-        "--profile-backend", default="objects", choices=PROFILE_BACKENDS,
-        help="pipeline core: object graphs or columnar arrays "
-             "(equivalent outputs; default: %(default)s)",
     )
     _add_output_options(p_an)
 
@@ -287,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-dir", metavar="DIR",
         help="write per-cell HTML reports plus an index.html here "
              "(requires --characterize)",
-    )
-    p_suite.add_argument(
-        "--profile-backend", default="objects", choices=PROFILE_BACKENDS,
-        help="pipeline core for --characterize (default: %(default)s)",
     )
     p_suite.add_argument(
         "--serve", type=int, metavar="PORT", dest="serve_port",
@@ -485,11 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--dataset", default="graph500", choices=dataset_names())
     p_bench.add_argument("--algorithm", default="pr", choices=sorted(ALGORITHMS))
-    p_bench.add_argument(
-        "--backends", default="objects", metavar="LIST",
-        help="comma-separated profile backends to time "
-             f"(from {','.join(PROFILE_BACKENDS)}; default: %(default)s)",
-    )
     p_bench.add_argument("--repeats", type=_positive_int, default=3, metavar="N")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
@@ -570,9 +551,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _LOG.info(f"running {spec.label} (preset={args.preset}) ...")
     with _tracing(args.trace):
         run = run_workload(spec)
-        profile = characterize_run(
-            run, tuned=not args.untuned, profile_backend=args.profile_backend
-        )
+        profile = characterize_run(run, tuned=not args.untuned)
     print(render_report(profile, extended=args.extended))
     if args.json:
         write_profile_json(profile, args.json)
@@ -703,7 +682,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 args.directory,
                 slice_duration=args.slice,
                 tuned=not args.untuned,
-                profile_backend=args.profile_backend,
             )
     except ArchiveError as exc:
         _LOG.error(f"error: {exc}")
@@ -885,7 +863,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 cache_dir=None if args.no_cache else args.cache_dir,
                 on_status=server.register if server is not None else None,
-                profile_backend=args.profile_backend,
             )
     finally:
         if server is not None:
@@ -1233,17 +1210,8 @@ def _bench_run(args: argparse.Namespace, baseline, gate) -> int:
     from .bench import bench_pipeline, validate_bench_doc, write_bench_json
 
     systems = tuple(s.strip() for s in args.systems.split(",") if s.strip())
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    for backend in backends:
-        if backend not in PROFILE_BACKENDS:
-            _LOG.error(
-                f"error: unknown backend {backend!r} "
-                f"(expected one of {','.join(PROFILE_BACKENDS)})"
-            )
-            return 2
     _LOG.info(
         f"benchmarking pipeline stages: systems={','.join(systems)} "
-        f"backends={','.join(backends)} "
         f"preset={args.preset} repeats={args.repeats} ..."
     )
     doc = bench_pipeline(
@@ -1253,7 +1221,6 @@ def _bench_run(args: argparse.Namespace, baseline, gate) -> int:
         algorithm=args.algorithm,
         repeats=args.repeats,
         seed=args.seed,
-        backends=backends,
     )
     problems = validate_bench_doc(doc)
     if problems:

@@ -53,7 +53,7 @@ from .issues import (
 )
 from .outliers import OutlierGroup, OutlierPhase, OutlierReport, find_outliers
 from .phases import ExecutionModel, PhaseType, parent_path, split_path
-from .profile import PROFILE_BACKENDS, Grade10, PerformanceProfile
+from .profile import Grade10, PerformanceProfile
 from .incremental import (
     DEFAULT_WINDOW_SLICES,
     IncrementalProfile,
@@ -151,7 +151,6 @@ __all__ = [
     "split_path",
     "Grade10",
     "PerformanceProfile",
-    "PROFILE_BACKENDS",
     "DEFAULT_WINDOW_SLICES",
     "IncrementalProfile",
     "LiveBottleneck",

@@ -146,75 +146,71 @@ def find_bottlenecks(
 
     ``min_duration`` suppresses bottlenecks shorter than the given number of
     seconds (the paper reports issues only above an arbitrary minimum
-    threshold).
+    threshold).  Saturation and exact-cap detection work on whole
+    ``(n_instances, n_slices)`` masks with one integer reduction per
+    resource, so durations are exact slice counts times the slice width.
     """
     with obs.span("bottlenecks"):
-        return _find_bottlenecks(
-            trace,
-            upsampled,
-            attribution,
-            saturation_threshold=saturation_threshold,
-            exact_cap_threshold=exact_cap_threshold,
-            min_duration=min_duration,
-        )
+        grid = upsampled.grid
+        report = BottleneckReport(grid=grid)
+        sd = grid.slice_duration
 
-
-def _find_bottlenecks(
-    trace: ExecutionTrace,
-    upsampled: UpsampledTrace,
-    attribution: AttributionResult,
-    *,
-    saturation_threshold: float,
-    exact_cap_threshold: float,
-    min_duration: float,
-) -> BottleneckReport:
-    grid = upsampled.grid
-    report = BottleneckReport(grid=grid)
-
-    # --- Blocking bottlenecks: straight from the trace's blocking events. --
-    for inst in trace.instances():
-        per_resource: dict[str, float] = {}
-        for ev in inst.blocking:
-            per_resource[ev.resource] = per_resource.get(ev.resource, 0.0) + ev.duration
-        for res, dur in per_resource.items():
-            if dur >= max(min_duration, _EPS):
-                report.bottlenecks.append(
-                    Bottleneck(BottleneckKind.BLOCKING, inst.instance_id, inst.phase_path, res, dur)
-                )
-
-    # --- Saturation and exact-cap bottlenecks on consumable resources. ----
-    for resource in upsampled.resources():
-        if resource not in attribution:
-            continue
-        ra = attribution[resource]
-        ur = upsampled[resource]
-        saturated = ur.utilization >= saturation_threshold  # (n_slices,)
-
-        for row, iid in enumerate(ra.instance_ids):
-            inst_usage = ra.usage[row]
-            inst_demand = ra.demand[row]
-            active = inst_demand > _EPS
-            phase_path = trace[iid].phase_path
-
-            # Saturation: active while the resource is at full utilization.
-            sat_mask = saturated & active
-            sat_time = float(sat_mask.sum()) * grid.slice_duration
-            if sat_time >= max(min_duration, grid.slice_duration / 2):
-                report.bottlenecks.append(
-                    Bottleneck(
-                        BottleneckKind.SATURATION, iid, phase_path, resource, sat_time, sat_mask
-                    )
-                )
-
-            # Exact cap: usage reaches the phase's exact demand while the
-            # resource itself still has headroom.
-            if ra.is_exact[row]:
-                capped = active & (inst_usage >= exact_cap_threshold * inst_demand) & ~saturated
-                cap_time = float(capped.sum()) * grid.slice_duration
-                if cap_time >= max(min_duration, grid.slice_duration / 2):
+        # --- Blocking bottlenecks: straight from the trace's blocking events.
+        for inst in trace.instances():
+            per_resource: dict[str, float] = {}
+            for ev in inst.blocking:
+                per_resource[ev.resource] = per_resource.get(ev.resource, 0.0) + ev.duration
+            for res, dur in per_resource.items():
+                if dur >= max(min_duration, _EPS):
                     report.bottlenecks.append(
                         Bottleneck(
-                            BottleneckKind.EXACT_CAP, iid, phase_path, resource, cap_time, capped
+                            BottleneckKind.BLOCKING, inst.instance_id, inst.phase_path, res, dur
                         )
                     )
-    return report
+
+        # --- Saturation and exact-cap bottlenecks on consumable resources.
+        sat_floor = max(min_duration, sd / 2)
+        for resource in upsampled.resources():
+            if resource not in attribution:
+                continue
+            ra = attribution[resource]
+            if not ra.instance_ids:
+                continue
+            saturated = upsampled[resource].utilization >= saturation_threshold
+            active = ra.demand > _EPS  # (n_instances, n_slices)
+            # Saturation: active while the resource is at full utilization.
+            sat = active & saturated[None, :]
+            sat_times = sat.sum(axis=1).astype(np.float64) * sd
+            # Exact cap: usage reaches the phase's exact demand while the
+            # resource itself still has headroom.
+            capped = (
+                active
+                & (ra.usage >= exact_cap_threshold * ra.demand)
+                & ~saturated[None, :]
+            )
+            cap_times = capped.sum(axis=1).astype(np.float64) * sd
+            for row, iid in enumerate(ra.instance_ids):
+                phase_path = trace[iid].phase_path
+                if sat_times[row] >= sat_floor:
+                    report.bottlenecks.append(
+                        Bottleneck(
+                            BottleneckKind.SATURATION,
+                            iid,
+                            phase_path,
+                            resource,
+                            float(sat_times[row]),
+                            sat[row],
+                        )
+                    )
+                if ra.is_exact[row] and cap_times[row] >= sat_floor:
+                    report.bottlenecks.append(
+                        Bottleneck(
+                            BottleneckKind.EXACT_CAP,
+                            iid,
+                            phase_path,
+                            resource,
+                            float(cap_times[row]),
+                            capped[row],
+                        )
+                    )
+        return report

@@ -109,46 +109,39 @@ def estimate_demand(
     """Build the timeslice-granular demand estimation matrix (§III-D1).
 
     Only *attributable* instances (those without concurrently active
-    children, see :meth:`ExecutionTrace.iter_attributable_instances`)
-    generate demand; inner phases are covered by the roll-up of their
-    descendants.  Instances stream through one at a time — per-resource
-    totals accumulate in instance order (so the sums are bit-identical to
-    the historical resource-outer loop) without materializing the full
-    attributable list up front.
+    children, see :meth:`ExecutionTrace.attributable_instances`) generate
+    demand; inner phases are covered by the roll-up of their descendants.
+    The activity of every instance comes from one batched rasterization;
+    per-resource totals then accumulate in instance order.
     """
-    consumable = resources.consumable
-    per_resource: dict[str, ResourceDemand] = {
-        name: ResourceDemand(
-            resource=name,
-            capacity=res.capacity,
-            exact_total=np.zeros(grid.n_slices),
-            variable_total=np.zeros(grid.n_slices),
-            entries=[],
-        )
-        for name, res in consumable.items()
-    }
-    for inst, activity in trace.iter_attributable_instances(grid):
-        for name, res in consumable.items():
+    attributable = trace.attributable_instances(grid)
+    per_resource: dict[str, ResourceDemand] = {}
+    for name, res in resources.consumable.items():
+        exact_total = np.zeros(grid.n_slices)
+        variable_total = np.zeros(grid.n_slices)
+        entries: list[DemandEntry] = []
+        for inst, activity in attributable:
             rule = rules.rule_for(inst, name)
             if isinstance(rule, NoneRule):
                 continue
-            rdemand = per_resource[name]
             if isinstance(rule, ExactRule):
                 magnitude = rule.proportion * res.capacity
                 entry = DemandEntry(inst, True, magnitude, activity)
-                rdemand.exact_total += entry.demand()
+                exact_total += entry.demand()
             elif isinstance(rule, VariableRule):
                 entry = DemandEntry(inst, False, rule.weight, activity)
-                rdemand.variable_total += entry.demand()
+                variable_total += entry.demand()
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown rule type {type(rule).__name__}")
-            rdemand.entries.append(entry)
-    for name, res in consumable.items():
+            entries.append(entry)
         # Known demand can never exceed capacity: concurrent Exact phases
         # whose proportions sum past 100% contend for the same resource.
-        np.minimum(
-            per_resource[name].exact_total,
-            res.capacity,
-            out=per_resource[name].exact_total,
+        np.minimum(exact_total, res.capacity, out=exact_total)
+        per_resource[name] = ResourceDemand(
+            resource=name,
+            capacity=res.capacity,
+            exact_total=exact_total,
+            variable_total=variable_total,
+            entries=entries,
         )
     return DemandEstimate(grid=grid, per_resource=per_resource)

@@ -12,8 +12,8 @@ arrive — raw text via :meth:`IncrementalProfile.feed_text` (backed by
   dict updates per event, and
 * a **windowed live analyzer** that, as the *sealed watermark* advances,
   runs per-window attribution and bottleneck detection over fixed-size
-  slice windows using the columnar kernels
-  (:func:`~repro.core.columnar.rasterize_rows` on a window-local grid),
+  slice windows using the batched kernels
+  (:func:`~repro.core.timeline.rasterize_rows` on a window-local grid),
   pruning rows whose phases ended before the window — a window never
   re-walks the full history.
 
@@ -29,9 +29,8 @@ The two planes have different contracts, stated bluntly:
   Blocking bottleneck seconds, by contrast, accumulate exactly: a
   resolved block's raw duration is final the moment ``block_end`` lands.
 * **The final profile is exact.**  :meth:`IncrementalProfile.finalize`
-  replays the accumulated events through the batch columnar pipeline
-  (:class:`~repro.core.profile.Grade10` with
-  ``profile_backend="columnar"``), so feeding a log in chunks of *any*
+  replays the accumulated events through the batch pipeline
+  (:class:`~repro.core.profile.Grade10`), so feeding a log in chunks of *any*
   size — including 1-event chunks and mid-record byte splits — yields an
   attribution/bottleneck output bit-identical to the one-shot batch run.
   The differential suite in ``tests/core/test_incremental.py`` enforces
@@ -50,7 +49,7 @@ from .profile import DEFAULT_SLICE_DURATION, Grade10, PerformanceProfile
 from .phases import ExecutionModel
 from .resources import ResourceModel
 from .rules import ExactRule, NoneRule, RuleMatrix
-from .timeline import TimeGrid
+from .timeline import TimeGrid, rasterize_rows
 from .traces import ResourceTrace
 from ..systems.logging import EventLog, JsonlStream
 
@@ -424,8 +423,6 @@ class IncrementalProfile:
         return util / capacity
 
     def _analyze_window(self, lo: int, hi: int) -> WindowSummary:
-        from .columnar import rasterize_rows
-
         sd = self.slice_duration
         assert self._t0 is not None
         win = TimeGrid(t0=self._t0 + lo * sd, slice_duration=sd, n_slices=hi - lo)
@@ -559,7 +556,7 @@ class IncrementalProfile:
 
         Any decoded-but-unanalyzed span is first drained through the live
         plane (one trailing partial window), then the accumulated events
-        replay through the batch columnar pipeline.  The result is
+        replay through the batch pipeline.  The result is
         bit-identical to a one-shot ``Grade10.characterize`` on the same
         log — the convergence invariant the differential suite pins down.
         """
@@ -609,6 +606,5 @@ class IncrementalProfile:
             slice_duration=self.slice_duration,
             saturation_threshold=self.saturation_threshold,
             exact_cap_threshold=self.exact_cap_threshold,
-            profile_backend="columnar",
         )
         return g10.characterize(trace, resource_trace)

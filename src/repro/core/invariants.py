@@ -145,6 +145,16 @@ def _check_grid(profile: "PerformanceProfile", report: InvariantReport, rel_tol:
         )
     if len(trace) == 0:
         return
+    if trace.makespan <= 0.0:
+        # Every instance starts and ends at one instant (e.g. a log cut
+        # right after its first events): there is no time to attribute.
+        report.violations.append(
+            InvariantViolation(
+                "grid", "grid",
+                f"trace spans no time: all {len(trace)} phase instance(s) "
+                f"lie at t={trace.t_start:.6f}",
+            )
+        )
     tol = rel_tol * max(1.0, abs(trace.t_start), abs(trace.t_end))
     if grid.t0 > trace.t_start + tol or grid.t_end < trace.t_end - tol:
         report.violations.append(

@@ -19,7 +19,6 @@ consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .. import obs
 from .attribution import AttributionResult, attribute
@@ -44,15 +43,10 @@ from .timeline import TimeGrid
 from .traces import ExecutionTrace, ResourceTrace
 from .upsample import UpsampledTrace, upsample
 
-__all__ = ["Grade10", "PerformanceProfile", "PROFILE_BACKENDS"]
+__all__ = ["Grade10", "PerformanceProfile"]
 
 #: Default timeslice duration (seconds); the paper uses tens of milliseconds.
 DEFAULT_SLICE_DURATION = 0.010
-
-#: Pipeline backends: the per-event object graph, or the dense columnar
-#: fast paths of :mod:`repro.core.columnar` (equivalent outputs; see
-#: docs/columnar.md for the tolerance contract).
-PROFILE_BACKENDS = ("objects", "columnar")
 
 
 @dataclass
@@ -68,11 +62,6 @@ class PerformanceProfile:
     bottlenecks: BottleneckReport
     issues: IssueReport
     outliers: OutlierReport
-    #: The model and analysis parameters that produced this profile;
-    #: attached by :meth:`Grade10.characterize` so the columnar converter
-    #: can embed them (hand-built profiles may leave them unset).
-    execution_model: ExecutionModel | None = None
-    analysis_params: dict[str, Any] | None = None
 
     @property
     def makespan(self) -> float:
@@ -114,15 +103,8 @@ class Grade10:
         min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
         outlier_threshold: float = DEFAULT_THRESHOLD,
         min_phase_duration: float = DEFAULT_MIN_PHASE_DURATION,
-        profile_backend: str = "objects",
     ) -> None:
-        if profile_backend not in PROFILE_BACKENDS:
-            raise ValueError(
-                f"unknown profile_backend {profile_backend!r} "
-                f"(expected one of {PROFILE_BACKENDS})"
-            )
         execution_model.validate()
-        self.profile_backend = profile_backend
         self.execution_model = execution_model
         self.resource_model = resource_model
         self.rules = rules if rules is not None else RuleMatrix()
@@ -145,28 +127,11 @@ class Grade10:
             raise ValueError("execution trace is empty — nothing to characterize")
         if grid is None:
             grid = execution_trace.grid(self.slice_duration)
-        if self.profile_backend == "columnar":
-            # Imported lazily: repro.core.columnar imports this module for
-            # the converters, so a top-level import would be circular.
-            from .columnar import (
-                estimate_demand_columnar,
-                find_bottlenecks_columnar,
-                upsample_columnar,
-            )
-
-            with obs.span("demand", n_instances=len(execution_trace)):
-                demand = estimate_demand_columnar(
-                    execution_trace, self.resource_model, self.rules, grid
-                )
-            upsampled = upsample_columnar(resource_trace, demand, grid)
-            bottleneck_finder = find_bottlenecks_columnar
-        else:
-            with obs.span("demand", n_instances=len(execution_trace)):
-                demand = estimate_demand(execution_trace, self.resource_model, self.rules, grid)
-            upsampled = upsample(resource_trace, demand, grid)
-            bottleneck_finder = find_bottlenecks
+        with obs.span("demand", n_instances=len(execution_trace)):
+            demand = estimate_demand(execution_trace, self.resource_model, self.rules, grid)
+        upsampled = upsample(resource_trace, demand, grid)
         attribution = attribute(upsampled, demand, execution_trace)
-        bottlenecks = bottleneck_finder(
+        bottlenecks = find_bottlenecks(
             execution_trace,
             upsampled,
             attribution,
@@ -199,14 +164,4 @@ class Grade10:
             bottlenecks=bottlenecks,
             issues=issues,
             outliers=outliers,
-            execution_model=self.execution_model,
-            analysis_params={
-                "slice_duration": self.slice_duration,
-                "saturation_threshold": self.saturation_threshold,
-                "exact_cap_threshold": self.exact_cap_threshold,
-                "min_improvement": self.min_improvement,
-                "outlier_threshold": self.outlier_threshold,
-                "min_phase_duration": self.min_phase_duration,
-                "profile_backend": self.profile_backend,
-            },
         )

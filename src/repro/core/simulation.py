@@ -107,9 +107,10 @@ class ReplaySimulator:
     model and compiled into level-scheduled index arrays (level = longest
     predecessor chain); each :meth:`simulate` call is then a handful of
     vectorized sweeps — one scatter-max per level — so what-if scenarios
-    are cheap to evaluate in bulk.  :meth:`_simulate_scalar` is the
-    per-instance reference implementation the array path replicates
-    operation-for-operation.
+    are cheap to evaluate in bulk.  The array path replicates a
+    per-instance sweep in trace order operation for operation; that sweep
+    lives in ``tests/core/oracles.py`` as the reference it is checked
+    against.
     """
 
     def __init__(self, trace: ExecutionTrace, model: ExecutionModel | None = None) -> None:
@@ -257,7 +258,7 @@ class ReplaySimulator:
 
         Nodes are indexed by their position in ``self._order``; an edge is
         kept only when the predecessor precedes the successor in that order
-        (the scalar sweep ignores predecessors whose end time has not been
+        (the per-instance sweep ignores predecessors whose end time has not been
         computed yet, so the array path must too).  A node's *level* is the
         length of its longest kept predecessor chain; within a level every
         start time can be resolved with one scatter-max over the incoming
@@ -351,7 +352,7 @@ class ReplaySimulator:
             for iid, d in durations.items():
                 k = self._idx.get(iid)
                 # Unknown ids and wait-path instances are ignored, exactly
-                # as in the scalar sweep (wait phases always replay at 0).
+                # as in the per-instance sweep (wait phases always replay at 0).
                 if k is not None and not self._is_wait[k]:
                     dur[k] = d
         np.maximum(dur, 0.0, out=dur)
@@ -367,28 +368,6 @@ class ReplaySimulator:
             start=dict(zip(self._ids, start.tolist())),
             end=dict(zip(self._ids, end.tolist())),
         )
-
-    def _simulate_scalar(self, durations: Mapping[str, float] | None) -> SimulationResult:
-        """Reference implementation: one instance at a time, in trace order."""
-        start: dict[str, float] = {}
-        end: dict[str, float] = {}
-        for inst in self._order:
-            if inst.phase_path in self._wait_paths:
-                # Elastic wait phase: dependencies only, no duration — its
-                # recorded length is a property of the schedule, not work.
-                dur = 0.0
-            else:
-                dur = inst.duration
-                if durations is not None:
-                    dur = durations.get(inst.instance_id, dur)
-            s = 0.0
-            for pid in self._preds.get(inst.instance_id, ()):  # all leaves
-                e = end.get(pid)
-                if e is not None and e > s:
-                    s = e
-            start[inst.instance_id] = s
-            end[inst.instance_id] = s + max(dur, 0.0)
-        return SimulationResult(start=start, end=end)
 
     def baseline(self) -> SimulationResult:
         """Replay with the recorded durations (the comparison baseline)."""

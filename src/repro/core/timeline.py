@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeGrid", "rasterize_intervals", "interval_slice_overlap"]
+__all__ = ["TimeGrid", "rasterize_intervals", "rasterize_rows", "interval_slice_overlap"]
 
 #: Relative tolerance used when snapping event timestamps to slice boundaries.
 _SNAP_RTOL = 1e-9
@@ -137,9 +137,9 @@ class TimeGrid:
         """Vectorized :meth:`slice_range` over arrays of intervals.
 
         Returns ``(lo, hi)`` int64 arrays with the same boundary snapping
-        as the scalar path — the columnar upsampler maps every
-        measurement window to its slice span in one call instead of one
-        Python-level ``slice_range`` per window.
+        as the scalar path — the upsampler maps every measurement
+        window to its slice span in one call instead of one Python-level
+        ``slice_range`` per window.
         """
         t_start = np.asarray(t_start, dtype=np.float64)
         t_end = np.asarray(t_end, dtype=np.float64)
@@ -215,7 +215,9 @@ def rasterize_intervals(
     activity masks.
 
     The implementation is a vectorized difference-array scan: cost is
-    ``O(n_intervals + n_slices)`` regardless of interval lengths.
+    ``O(n_intervals + n_slices)`` regardless of interval lengths.  Slices
+    no interval overlaps are exactly 0, and non-negative weights give a
+    non-negative raster (see :func:`_drop_residue`).
     """
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
@@ -235,12 +237,15 @@ def rasterize_intervals(
     if not fractional:
         # Indicator accumulation: +w at first overlapped slice, -w after last.
         diff = np.zeros(grid.n_slices + 1, dtype=np.float64)
+        cover = np.zeros(grid.n_slices + 1, dtype=np.int64)
         for s, e, w in zip(starts, ends, weights):
             lo, hi = grid.slice_range(s, e)
             if hi > lo:
                 diff[lo] += w
                 diff[hi] -= w
-        return np.cumsum(diff)[:-1]
+                cover[lo] += 1
+                cover[hi] -= 1
+        return _drop_residue(np.cumsum(diff)[:-1], cover, weights)
 
     # Fractional accumulation via difference arrays on slice coordinates:
     # an interval covering slice coordinate range [a, b) contributes, to
@@ -272,4 +277,78 @@ def rasterize_intervals(
         np.add.at(diff, ia_m[body] + 1, w_m[body])
         np.add.at(diff, np.minimum(ib_m[body], grid.n_slices), -w_m[body])
         out += np.cumsum(diff)[:-1]
+        # Slice i overlaps [a, b) exactly when floor(a) <= i < ceil(b).
+        covered = b > a
+        cover = np.zeros(grid.n_slices + 1, dtype=np.int64)
+        np.add.at(cover, ia[covered], 1)
+        np.add.at(cover, np.ceil(b[covered]).astype(np.int64), -1)
+        _drop_residue(out, cover, weights)
+    return out
+
+
+def _drop_residue(out: np.ndarray, cover: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Remove the cancellation residue a float difference-array cumsum leaves.
+
+    Summing non-integer ``+w``/``-w`` pairs does not cancel exactly, so
+    slices after every interval has ended can read ``-1.1e-16`` instead of
+    0.  ``cover`` is the integer difference array of how many intervals
+    overlap each slice; its cumsum is exact, so slices no interval
+    overlaps become exactly 0.  With non-negative weights any negative
+    value left elsewhere is residue too and is clamped to 0.
+    """
+    out[np.cumsum(cover)[:-1] == 0] = 0.0
+    if np.all(weights >= 0.0):
+        out[out < 0.0] = 0.0
+    return out
+
+
+def rasterize_rows(
+    grid: TimeGrid,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    n_rows: int,
+) -> np.ndarray:
+    """Fractional interval rasterization onto an ``(n_rows, n_slices)`` matrix.
+
+    The 2-D analogue of :func:`rasterize_intervals` with unit weights:
+    interval ``k`` accumulates its per-slice overlap fraction into row
+    ``rows[k]``.  Operation order matches the 1-D path per row
+    (same/head/tail scatter-adds, then a per-row cumsum of the body
+    difference array), so each row is bit-identical to rasterizing that
+    row's intervals alone.  Unit weights cancel exactly, so no residue
+    needs dropping.
+    """
+    n = grid.n_slices
+    out = np.zeros((n_rows, n), dtype=np.float64)
+    if len(starts) == 0:
+        return out
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+
+    a = np.clip((starts - grid.t0) / grid.slice_duration, 0.0, n)
+    b = np.clip((ends - grid.t0) / grid.slice_duration, 0.0, n)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    ia = np.floor(a).astype(np.int64)
+    ib = np.floor(b).astype(np.int64)
+
+    flat = out.ravel()
+    same = ia == ib
+    np.add.at(flat, rows[same] * n + np.clip(ia[same], 0, n - 1), b[same] - a[same])
+
+    multi = ~same
+    if np.any(multi):
+        r_m, ia_m, ib_m = rows[multi], ia[multi], ib[multi]
+        a_m, b_m = a[multi], b[multi]
+        np.add.at(flat, r_m * n + ia_m, ia_m + 1 - a_m)
+        tail = ib_m < n
+        np.add.at(flat, r_m[tail] * n + ib_m[tail], b_m[tail] - ib_m[tail])
+        body = ib_m > ia_m + 1
+        if np.any(body):
+            diff = np.zeros((n_rows, n + 1), dtype=np.float64)
+            dflat = diff.ravel()
+            np.add.at(dflat, r_m[body] * (n + 1) + ia_m[body] + 1, 1.0)
+            np.add.at(dflat, r_m[body] * (n + 1) + np.minimum(ib_m[body], n), -1.0)
+            out += np.cumsum(diff, axis=1)[:, :-1]
     return out

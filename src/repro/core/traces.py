@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phases import PATH_SEPARATOR
-from .timeline import TimeGrid, rasterize_intervals
+from .timeline import TimeGrid, rasterize_intervals, rasterize_rows
 
 __all__ = [
     "BlockingEvent",
@@ -282,56 +282,54 @@ class ExecutionTrace:
         arr = np.asarray(ivs, dtype=np.float64)
         return rasterize_intervals(grid, arr[:, 0], arr[:, 1])
 
-    def iter_attributable_instances(self, grid: TimeGrid):
-        """Lazily yield ``(instance, active_fraction_per_slice)`` pairs.
+    def attributable_instances(self, grid: TimeGrid) -> list[tuple[PhaseInstance, np.ndarray]]:
+        """``(instance, active_fraction_per_slice)`` pairs of attributable instances.
 
         An instance is attributable during the parts of its lifetime when
         none of its children are active: inner phases' resource usage is the
         roll-up of their descendants, so attributing to both a parent and
         its running child would double-count.  Only pairs with strictly
-        positive activity somewhere are yielded.
+        positive activity somewhere are returned, in insertion order.
 
-        Each instance's raw activity is rasterized exactly once (it is
-        needed both at its own visit and — as a child — at its parent's
-        visit) and evicted from the memo as soon as its last consumer has
-        seen it, so the trace never holds more per-slice arrays than the
-        deepest parent/child frontier requires.
+        Every instance's active intervals are rasterized in one batched
+        sweep (:func:`~repro.core.timeline.rasterize_rows`); one
+        ``np.add.at`` scatter then sums each parent's child activity in
+        insertion order, and ``clip(raw - children, 0, 1)`` applies only
+        where children exist.
         """
-        # An instance's raw activity is read at its own visit, plus once at
-        # its parent's visit when it has one; parents precede children in
-        # insertion order, so the parent's read always happens first.
-        remaining = {
-            iid: (2 if inst.parent_id is not None else 1)
-            for iid, inst in self._instances.items()
-        }
-        cache: dict[str, np.ndarray] = {}
-
-        def consume(inst: PhaseInstance) -> np.ndarray:
-            iid = inst.instance_id
-            arr = cache.get(iid)
-            if arr is None:
-                arr = self.activity_fraction(inst, grid)
-            remaining[iid] -= 1
-            if remaining[iid] > 0:
-                cache[iid] = arr
-            else:
-                cache.pop(iid, None)
-            return arr
-
-        for inst in self._instances.values():
-            frac = consume(inst)
-            kids = self.children_of(inst)
-            if kids:
-                child_activity = np.zeros(grid.n_slices)
-                for kid in kids:
-                    child_activity += consume(kid)
-                frac = np.clip(frac - child_activity, 0.0, 1.0)
-            if np.any(frac > 0.0):
-                yield inst, frac
-
-    def attributable_instances(self, grid: TimeGrid) -> list[tuple[PhaseInstance, np.ndarray]]:
-        """Materialized form of :meth:`iter_attributable_instances`."""
-        return list(self.iter_attributable_instances(grid))
+        insts = list(self._instances.values())
+        n = len(insts)
+        if n == 0:
+            return []
+        row_of = {inst.instance_id: r for r, inst in enumerate(insts)}
+        rows: list[int] = []
+        starts: list[float] = []
+        ends: list[float] = []
+        for r, inst in enumerate(insts):
+            for s, e in inst.active_intervals():
+                rows.append(r)
+                starts.append(s)
+                ends.append(e)
+        raw = rasterize_rows(
+            grid,
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(ends, dtype=np.float64),
+            n,
+        )
+        parent = np.fromiter(
+            (row_of[i.parent_id] if i.parent_id is not None else -1 for i in insts),
+            dtype=np.int64,
+            count=n,
+        )
+        child_sum = np.zeros_like(raw)
+        has_child = np.zeros(n, dtype=bool)
+        is_kid = parent >= 0
+        if np.any(is_kid):
+            np.add.at(child_sum, parent[is_kid], raw[is_kid])
+            has_child[parent[is_kid]] = True
+        attr = np.where(has_child[:, None], np.clip(raw - child_sum, 0.0, 1.0), raw)
+        return [(insts[r], attr[r]) for r in range(n) if np.any(attr[r] > 0.0)]
 
     def concurrent_groups(self) -> dict[tuple[str | None, str], list[PhaseInstance]]:
         """Group instances by (parent, phase type).

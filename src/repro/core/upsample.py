@@ -17,12 +17,10 @@ consumption over the timeslices it covers, guided by the demand estimate:
    than silently absorbed.
 
 Each measurement is processed independently, exactly as in the paper.
-:func:`upsample` executes all of a resource's windows at once through the
-shared batched kernel (:func:`repro.core.columnar.pipeline.upsample_columnar`
-— padded ``(n_windows, max_width)`` matrices, row-wise water-filling), the
-same code path the columnar backend uses; the per-window scalar functions
-(:func:`_upsample_window`, :func:`_water_fill`) are kept as the readable
-reference implementation the batched kernel is checked against.
+:func:`upsample` executes all of a resource's windows at once: windows of
+equal width form one ``(n_windows, width)`` matrix, and the water-filling
+runs row-wise (:func:`_water_fill_batch`).  A per-window scalar reference
+lives in ``tests/core/oracles.py``; the kernel equals it bit for bit.
 
 The module also implements the **constant-rate strawman** the paper
 compares against in Table II (assume consumption is constant over the
@@ -38,7 +36,7 @@ import numpy as np
 from .. import obs
 from .demand import DemandEstimate, ResourceDemand
 from .timeline import TimeGrid, interval_slice_overlap
-from .traces import ResourceTrace
+from .traces import ResourceMeasurement, ResourceTrace
 
 __all__ = [
     "UpsampledResource",
@@ -94,98 +92,62 @@ class UpsampledTrace:
         return list(self.per_resource)
 
 
-def _water_fill(amount: float, weights: np.ndarray, headroom: np.ndarray) -> np.ndarray:
-    """Distribute ``amount`` proportionally to ``weights``, capped by ``headroom``.
+def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row sum of ``values[mask]``.
 
-    Classic water-filling: allocate proportionally; freeze slices that hit
-    their cap; redistribute the excess among the rest.  Returns the
-    allocation (same shape as ``weights``); any amount that exceeds the
-    total headroom is *not* allocated (the caller decides what to do with
-    the residue).
+    Rows with the same number of selected entries are packed into one
+    ``(rows, k)`` matrix, so each row sums exactly like the 1-D array of
+    its selected entries alone (same order, same pairwise association).
+    """
+    out = np.zeros(values.shape[0])
+    counts = mask.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = values[rows][mask[rows]].reshape(len(rows), k).sum(axis=1)
+    return out
+
+
+def _water_fill_batch(
+    amount: np.ndarray, weights: np.ndarray, headroom: np.ndarray
+) -> np.ndarray:
+    """Row-wise water-filling of ``amount[i]`` over ``weights[i]``, capped by ``headroom[i]``.
+
+    Classic water-filling per row: allocate proportionally; freeze slices
+    that hit their cap; redistribute the excess among the rest.  Any amount
+    that exceeds a row's total headroom is *not* allocated (the caller
+    decides what to do with the residue).  ``amount`` is ``(n_windows,)``;
+    ``weights``/``headroom`` are ``(n_windows, width)``.  Rows iterate
+    together but each follows the one-window algorithm's branch structure
+    via masks: a row that would have stopped goes inert.
     """
     alloc = np.zeros_like(weights)
-    if amount <= _EPS:
+    if weights.shape[0] == 0 or weights.shape[1] == 0:
         return alloc
+    remaining = np.asarray(amount, dtype=np.float64).copy()
     active = (weights > _EPS) & (headroom > _EPS)
-    remaining = amount
-    # Each iteration saturates at least one slice, so this terminates in at
-    # most n iterations; in practice 1-3.
-    while remaining > _EPS and np.any(active):
-        w_sum = weights[active].sum()
-        if w_sum <= _EPS:
+    live = (remaining > _EPS) & active.any(axis=1)
+    # Each iteration caps at least one cell per live row, so the loop is
+    # bounded by the row width; the guard is purely defensive.
+    for _ in range(weights.shape[1] + 1):
+        if not np.any(live):
             break
-        share = remaining * weights / w_sum
-        share[~active] = 0.0
+        w_sum = _masked_row_sums(weights, active & live[:, None])
+        live &= w_sum > _EPS
+        if not np.any(live):
+            break
+        act = live[:, None] & active
+        safe = np.where(w_sum > _EPS, w_sum, 1.0)
+        share = np.where(act, remaining[:, None] * weights / safe[:, None], 0.0)
         room = headroom - alloc
         over = share > room
-        take = np.where(over, room, share)
-        take[~active] = 0.0
+        take = np.where(act, np.where(over, room, share), 0.0)
         alloc += take
-        remaining -= take.sum()
-        newly_capped = over & active
-        if not np.any(newly_capped):
-            break
+        remaining = np.where(live, remaining - take.sum(axis=1), remaining)
+        newly_capped = over & act
+        live &= newly_capped.any(axis=1)
         active &= ~newly_capped
+        live &= remaining > _EPS
     return alloc
-
-
-def _upsample_window(
-    demand: ResourceDemand,
-    lo: int,
-    frac: np.ndarray,
-    total: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distribute one measurement window's total over slices ``lo .. lo+len(frac)``.
-
-    ``total`` is in rate×slice units (window average rate × window length in
-    slices).  Returns ``(allocation, unexplained)`` arrays over the covered
-    slices, both in rate×slice units.
-    """
-    n = frac.size
-    sl = slice(lo, lo + n)
-    # Per-slice capacity and demand available within this window, scaled by
-    # the fraction of the slice the window covers.
-    cap = demand.capacity * frac
-    exact = np.minimum(demand.exact_total[sl] * frac, cap)
-    var_w = demand.variable_total[sl] * frac
-
-    alloc = np.zeros(n)
-    unexplained = np.zeros(n)
-    remaining = total
-
-    # Step 1: satisfy exact demand proportionally.
-    exact_sum = exact.sum()
-    if exact_sum > _EPS:
-        if remaining >= exact_sum:
-            alloc += exact
-            remaining -= exact_sum
-        else:
-            alloc += exact * (remaining / exact_sum)
-            remaining = 0.0
-
-    # Step 2: water-fill the remainder over variable demand.
-    if remaining > _EPS:
-        filled = _water_fill(remaining, var_w, cap - alloc)
-        alloc += filled
-        remaining -= filled.sum()
-
-    # Step 3: unexplained residue, spread over the window's coverage —
-    # uniformly per covered slice-fraction, still respecting capacity first.
-    if remaining > _EPS:
-        headroom = cap - alloc
-        filled = _water_fill(remaining, frac.astype(np.float64), headroom)
-        alloc += filled
-        unexplained += filled
-        remaining -= filled.sum()
-        if remaining > _EPS:
-            # Even capacity cannot absorb it (measurement above capacity);
-            # spread uniformly and flag it all as unexplained.
-            cover = frac.sum()
-            if cover > _EPS:
-                extra = remaining * frac / cover
-                alloc += extra
-                unexplained += extra
-    return alloc, unexplained
 
 
 def upsample(
@@ -195,60 +157,155 @@ def upsample(
 ) -> UpsampledTrace:
     """Upsample all measured consumable resources to timeslice granularity.
 
-    Runs the batched water-filling kernel shared with the columnar backend
-    (all of a resource's windows in one ``(n_windows, max_width)`` sweep).
-    :func:`_upsample` below is the per-window scalar reference the kernel
-    replicates operation-for-operation.
+    All of a resource's measurement windows of one width go through the
+    three steps together, as rows of one matrix.
     """
     with obs.span("upsample", n_slices=grid.n_slices):
-        # Lazy import: the pipeline module imports this one at load time.
-        from .columnar.pipeline import _upsample_columnar
-
-        return _upsample_columnar(resource_trace, demand, grid)
-
-
-def _upsample(
-    resource_trace: ResourceTrace,
-    demand: DemandEstimate,
-    grid: TimeGrid,
-) -> UpsampledTrace:
-    """Scalar reference implementation (one window at a time)."""
-    per_resource: dict[str, UpsampledResource] = {}
-    for name in resource_trace.measured_resources():
-        if name not in demand:
-            # Resource was monitored but is not in the resource model;
-            # skip — there is no capacity or demand to guide upsampling.
-            continue
-        rdemand = demand[name]
-        amount = np.zeros(grid.n_slices)
-        unexplained = np.zeros(grid.n_slices)
-        coverage = np.zeros(grid.n_slices)
-        for m in resource_trace.measurements(name):
-            lo, hi, frac = interval_slice_overlap(grid, m.t_start, m.t_end)
-            if hi == lo:
+        per_resource: dict[str, UpsampledResource] = {}
+        for name in resource_trace.measured_resources():
+            if name not in demand:
+                # Resource was monitored but is not in the resource model;
+                # skip — there is no capacity or demand to guide upsampling.
                 continue
-            # The window's full consumption is distributed over its in-grid
-            # slices.  A trailing monitoring window that extends past the
-            # run's end dilutes its average with idle tail time, but all of
-            # the consumption it reports happened inside the run — so the
-            # total, not the in-grid duration, is what must be preserved.
-            total = m.value * (m.t_end - m.t_start) / grid.slice_duration
-            alloc, unexp = _upsample_window(rdemand, lo, frac, total)
-            amount[lo:hi] += alloc
-            unexplained[lo:hi] += unexp
-            coverage[lo:hi] += frac
-        rate = np.divide(amount, coverage, out=np.zeros_like(amount), where=coverage > _EPS)
-        unexp_rate = np.divide(
-            unexplained, coverage, out=np.zeros_like(unexplained), where=coverage > _EPS
+            rdemand = demand[name]
+            amount, unexplained, coverage = _upsample_windows(
+                rdemand, grid, resource_trace.measurements(name)
+            )
+            rate = np.divide(amount, coverage, out=np.zeros_like(amount), where=coverage > _EPS)
+            unexp_rate = np.divide(
+                unexplained, coverage, out=np.zeros_like(unexplained), where=coverage > _EPS
+            )
+            per_resource[name] = UpsampledResource(
+                resource=name,
+                capacity=rdemand.capacity,
+                rate=rate,
+                coverage=np.clip(coverage, 0.0, 1.0),
+                unexplained=unexp_rate,
+            )
+        return UpsampledTrace(grid=grid, per_resource=per_resource)
+
+
+def _upsample_windows(
+    rdemand: ResourceDemand, grid: TimeGrid, ms: list[ResourceMeasurement]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distribute every window of one resource over the grid.
+
+    Returns per-slice ``(amount, unexplained, coverage)``: the allocated
+    and the unexplained consumption in rate×slice units, and the summed
+    window coverage fractions.
+    """
+    n = grid.n_slices
+    sd = grid.slice_duration
+    amount = np.zeros(n)
+    unexplained = np.zeros(n)
+    coverage = np.zeros(n)
+    if not ms:
+        return amount, unexplained, coverage
+    starts = np.array([m.t_start for m in ms], dtype=np.float64)
+    ends = np.array([m.t_end for m in ms], dtype=np.float64)
+    values = np.array([m.value for m in ms], dtype=np.float64)
+    lo, hi = grid.slice_range_batch(starts, ends)
+    width = hi - lo
+    max_w = int(width.max())
+    if max_w == 0:
+        return amount, unexplained, coverage
+    offs = np.arange(max_w)
+    idx = lo[:, None] + offs[None, :]
+    valid = offs[None, :] < width[:, None]
+    idxc = np.clip(idx, 0, n - 1)
+    # Slice edges computed exactly as interval_slice_overlap does
+    # (t0 + k*sd for integer k), so fractions carry the same bits.
+    edge_lo = grid.t0 + idx * sd
+    edge_hi = grid.t0 + (idx + 1) * sd
+    frac = np.clip(
+        (np.minimum(edge_hi, ends[:, None]) - np.maximum(edge_lo, starts[:, None])) / sd,
+        0.0,
+        1.0,
+    )
+    frac = np.where(valid, frac, 0.0)
+    # The window's full consumption is distributed over its in-grid
+    # slices.  A trailing monitoring window that extends past the run's
+    # end dilutes its average with idle tail time, but all of the
+    # consumption it reports happened inside the run — so the total, not
+    # the in-grid duration, is what must be preserved.
+    total = values * (ends - starts) / sd
+
+    # Per-slice capacity and demand available within each window, scaled
+    # by the fraction of the slice the window covers.
+    cap = rdemand.capacity * frac
+    exact = np.minimum(np.asarray(rdemand.exact_total)[idxc] * frac, cap)
+    var_w = np.asarray(rdemand.variable_total)[idxc] * frac
+
+    # Windows of equal width go through the three steps together, so every
+    # row sum runs over exactly one window's slices — the same order and
+    # pairwise association as distributing that window alone.
+    alloc = np.zeros_like(frac)
+    unexp = np.zeros_like(frac)
+    for w in np.unique(width[width > 0]):
+        rows = np.flatnonzero(width == w)
+        alloc[rows, :w], unexp[rows, :w] = _distribute(
+            total[rows], frac[rows, :w], cap[rows, :w], exact[rows, :w], var_w[rows, :w]
         )
-        per_resource[name] = UpsampledResource(
-            resource=name,
-            capacity=rdemand.capacity,
-            rate=rate,
-            coverage=np.clip(coverage, 0.0, 1.0),
-            unexplained=unexp_rate,
+
+    # Scatter back in window order — the same per-slice accumulation
+    # order as a one-window-at-a-time loop.
+    np.add.at(amount, idxc[valid], alloc[valid])
+    np.add.at(unexplained, idxc[valid], unexp[valid])
+    np.add.at(coverage, idxc[valid], frac[valid])
+    return amount, unexplained, coverage
+
+
+def _distribute(
+    total: np.ndarray,
+    frac: np.ndarray,
+    cap: np.ndarray,
+    exact: np.ndarray,
+    var_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The three upsampling steps for windows of one width.
+
+    ``total`` is each window's consumption in rate×slice units; the other
+    arrays are ``(n_windows, width)``.  Returns ``(allocation,
+    unexplained)`` in the same units.
+    """
+    # Step 1: satisfy exact demand proportionally.
+    remaining = total.copy()
+    exact_sum = exact.sum(axis=1)
+    has_exact = exact_sum > _EPS
+    full = has_exact & (remaining >= exact_sum)
+    partial = has_exact & ~full
+    scale = np.zeros(len(total))
+    scale[full] = 1.0
+    np.divide(remaining, exact_sum, out=scale, where=partial)
+    alloc = exact * scale[:, None]
+    remaining = np.where(full, remaining - exact_sum, remaining)
+    remaining = np.where(partial, 0.0, remaining)
+
+    # Step 2: water-fill the remainder over variable demand.
+    filled = _water_fill_batch(remaining, var_w, cap - alloc)
+    alloc = alloc + filled
+    remaining = remaining - filled.sum(axis=1)
+
+    # Step 3: unexplained residue, spread over the window's coverage —
+    # uniformly per covered slice-fraction, still respecting capacity
+    # first; when even capacity cannot absorb it (measurement above
+    # capacity), spread uniformly and flag it all as unexplained.
+    filled = _water_fill_batch(remaining, frac, cap - alloc)
+    alloc = alloc + filled
+    unexp = filled.copy()
+    remaining = remaining - filled.sum(axis=1)
+    overflow = remaining > _EPS
+    cover = frac.sum(axis=1)
+    spread = overflow & (cover > _EPS)
+    if np.any(spread):
+        extra = np.where(
+            spread[:, None],
+            remaining[:, None] * frac / np.where(cover > _EPS, cover, 1.0)[:, None],
+            0.0,
         )
-    return UpsampledTrace(grid=grid, per_resource=per_resource)
+        alloc = alloc + extra
+        unexp = unexp + extra
+    return alloc, unexp
 
 
 def upsample_constant(

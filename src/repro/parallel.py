@@ -20,7 +20,7 @@ experiment drivers:
     *trace-affecting* inputs only (system name + effective config,
     algorithm, preset, seed, tuned model fingerprints, archive sampling
     parameters).  Downstream knobs — ``tuned``, ``characterize``,
-    ``slice_duration``, ``profile_backend``, fault specs applied later —
+    ``slice_duration``, ``min_phase_duration``, fault specs applied later —
     are excluded, so cells differing only in analysis options share one
     simulated trace instead of re-simulating it.
 
@@ -228,7 +228,6 @@ class CellSpec:
     tuned: bool = True
     slice_duration: float = 0.01
     min_phase_duration: float = 0.05
-    profile_backend: str = "objects"
 
     @property
     def label(self) -> str:
@@ -242,7 +241,7 @@ def cell_key_material(cell: CellSpec) -> dict[str, Any]:
     tunable constant, including the nested sync-bug config), algorithm,
     seed, model/rule fingerprints, and the archive sampling parameters.
     The analysis-side options (``characterize``/``slice_duration``/
-    ``profile_backend``) are deliberately **excluded**: they are applied
+    ``min_phase_duration``) are deliberately **excluded**: they are applied
     on top of the cached artifacts, so one payload serves every analysis
     variant.
 
@@ -300,7 +299,7 @@ def trace_key_material(cell: CellSpec) -> dict[str, Any]:
     iteration counts), seed, the *tuned* model fingerprints (the archive's
     ``models.json`` always stores the tuned models, whatever the analysis
     later selects), and the archive sampling parameters.  Downstream knobs
-    (``tuned``, ``characterize``, ``slice_duration``, ``profile_backend``)
+    (``tuned``, ``characterize``, ``slice_duration``, ``min_phase_duration``)
     are excluded: they are applied on top of the archived trace, so one
     payload serves every analysis variant.
     """
@@ -575,7 +574,6 @@ def _characterize_payload(cell: CellSpec, directory: Path) -> "PerformanceProfil
         slice_duration=cell.slice_duration,
         tuned=cell.tuned,
         min_phase_duration=cell.min_phase_duration,
-        profile_backend=cell.profile_backend,
     )
 
 
@@ -732,7 +730,6 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
                 tuned=cell.tuned,
                 slice_duration=cell.slice_duration,
                 min_phase_duration=cell.min_phase_duration,
-                profile_backend=cell.profile_backend,
             )
 
         return CellResult(

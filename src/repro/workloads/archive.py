@@ -187,7 +187,6 @@ def characterize_archive(
     slice_duration: float = 0.01,
     tuned: bool = True,
     min_phase_duration: float | None = None,
-    profile_backend: str = "objects",
 ) -> PerformanceProfile:
     """One-call offline analysis of an archived run."""
     execution_trace, resource_trace, (model, resources, rules), _ = load_run(
@@ -196,12 +195,5 @@ def characterize_archive(
     if model is None or resources is None:
         raise ArchiveCorruptError(f"archive at {directory} has no models.json content")
     kwargs = {} if min_phase_duration is None else {"min_phase_duration": min_phase_duration}
-    g10 = Grade10(
-        model,
-        resources,
-        rules,
-        slice_duration=slice_duration,
-        profile_backend=profile_backend,
-        **kwargs,
-    )
+    g10 = Grade10(model, resources, rules, slice_duration=slice_duration, **kwargs)
     return g10.characterize(execution_trace, resource_trace)

@@ -87,7 +87,6 @@ def run_suite(
     cache_dir: str | Path | None = None,
     per_cell_seeds: bool = False,
     on_status: Callable[[RunStatus], None] | None = None,
-    profile_backend: str = "objects",
 ) -> SuiteResult:
     """Run the benchmark grid on the requested systems.
 
@@ -105,9 +104,6 @@ def run_suite(
     of passing ``seed`` to every cell verbatim.  ``on_status`` receives
     the sweep's live :class:`~repro.progress.RunStatus` before the first
     cell starts (how ``repro serve`` exposes the run over HTTP).
-    ``profile_backend`` picks the object-graph or columnar pipeline core
-    for characterization (cache keys are unaffected — the backend is an
-    analysis-side option).
     """
     cells = [
         CellSpec(
@@ -121,7 +117,6 @@ def run_suite(
                 else seed,
             ),
             characterize=characterize,
-            profile_backend=profile_backend,
         )
         for system in systems
         for dataset, algorithm in grid

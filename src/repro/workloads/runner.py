@@ -269,15 +269,12 @@ def characterize_run(
     slice_duration: float = 0.01,
     monitoring_interval: float = 0.4,
     min_phase_duration: float = 0.05,
-    profile_backend: str = "objects",
 ) -> PerformanceProfile:
     """Run the Grade10 pipeline on a finished workload's artifacts.
 
     ``tuned`` selects the expert model variant: the tuned model includes
     attribution rules and first-class GC phases; the untuned model has no
     rules (implicit Variable 1×) and no GC modeling, as in §IV-B.
-    ``profile_backend`` picks the object-graph or columnar pipeline core
-    (equivalent outputs; see docs/columnar.md).
     """
     system_run = run.system_run if isinstance(run, WorkloadRun) else run
     model, resources, rules = analysis_inputs(system_run, tuned=tuned)
@@ -299,6 +296,5 @@ def characterize_run(
         rules,
         slice_duration=slice_duration,
         min_phase_duration=min_phase_duration,
-        profile_backend=profile_backend,
     )
     return g10.characterize(execution_trace, resource_trace)

@@ -110,6 +110,20 @@ class TestMetricsRecorder:
         trace = MetricsRecorder().sample(1.0)
         assert trace.measured_resources() == []
 
+    def test_idle_tail_windows_sample_exactly_zero(self):
+        """Regression: idle windows after non-integer rates used to read -2.2e-16.
+
+        The negative residue made ``sample`` raise a bare ValueError (a
+        measurement must be >= 0), so such runs could not be archived.
+        """
+        rec = MetricsRecorder()
+        for t0, rate in ((0.0, 0.1), (1.0, 0.1), (2.0, 1.1)):
+            rec.record("cpu@m0", t0, t0 + 3.0, rate)
+        trace = rec.sample(1.0, t_end=8.0)
+        values = [m.value for m in trace.measurements("cpu@m0")]
+        assert values[5:] == [0.0, 0.0, 0.0]
+        assert min(values) >= 0.0
+
 
 class TestMachine:
     def test_work_records_cpu(self):

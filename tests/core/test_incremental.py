@@ -4,7 +4,7 @@ The headline invariant (module docstring of :mod:`repro.core.incremental`):
 feeding a run's JSONL log in chunks of *any* size — one-event chunks,
 fixed byte chunks that split records mid-byte, a missing trailing
 newline — converges to an attribution/bottleneck output bit-identical to
-the one-shot batch columnar pipeline, on all three golden systems.
+the one-shot batch pipeline, on all three golden systems.
 
 Alongside the differential checks: a Hypothesis property over arbitrary
 chunkings, fault parity over every shipped ``FaultSpec`` (degraded logs
@@ -41,10 +41,7 @@ def _prepared(system):
         models = analysis_inputs(sr, tuned=True)
         buf = io.StringIO()
         write_jsonl(sr.log, buf)
-        batch = characterize_run(
-            sr, tuned=True, monitoring_interval=MONITORING_INTERVAL,
-            profile_backend="columnar",
-        )
+        batch = characterize_run(sr, tuned=True, monitoring_interval=MONITORING_INTERVAL)
         _prepared.cache[system] = (sr, models, buf.getvalue(), batch)
     return _prepared.cache[system]
 
@@ -184,7 +181,7 @@ class TestFaultParity:
         apply_faults(archive / "source", dest, [fault_at(fault, 0.3)], seed=0)
 
         try:
-            batch = characterize_archive(dest, profile_backend="columnar")
+            batch = characterize_archive(dest)
             batch_error = None
         except ArchiveError as exc:
             batch, batch_error = None, exc

@@ -145,6 +145,19 @@ class TestGrid:
     def test_covering_custom_grid_passes(self):
         assert check_profile(make_profile(grid=TimeGrid(0.0, 0.5, 10))).ok
 
+    def test_trace_spanning_no_time_is_reported(self):
+        """Regression: a log cut to a few zero-length phases checked clean."""
+        trace = ExecutionTrace()
+        trace.record("/Load", 2.0, 2.0, instance_id="load", machine="m0")
+        model = ExecutionModel("bsp")
+        model.add_phase("/Load")
+        resources = ResourceModel("cluster")
+        resources.add_consumable("cpu@m0", 4.0, unit="cores")
+        profile = Grade10(model, resources).characterize(trace, ResourceTrace())
+        assert profile.makespan == 0.0
+        grid = check_profile(profile).by_invariant("grid")
+        assert grid and "spans no time" in grid[0].message
+
 
 class TestReportAPI:
     def test_render_lists_each_violation(self):

@@ -23,7 +23,9 @@ from repro.core.rules import RuleMatrix
 from repro.core.simulation import ReplaySimulator
 from repro.core.timeline import TimeGrid, rasterize_intervals
 from repro.core.traces import ExecutionTrace, ResourceTrace
-from repro.core.upsample import _water_fill, upsample
+from repro.core.upsample import upsample
+
+from .oracles import _water_fill
 
 # ---------------------------------------------------------------------- #
 # Strategies

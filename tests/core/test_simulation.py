@@ -10,6 +10,8 @@ from repro.core.simulation import (
 )
 from repro.core.traces import ExecutionTrace
 
+from .oracles import _simulate_scalar
+
 
 def bsp_model() -> ExecutionModel:
     m = ExecutionModel("bsp")
@@ -195,7 +197,7 @@ class TestVectorizedReplayEquivalence:
 
     def test_baseline_matches_scalar_reference(self):
         sim = self._simulator()
-        fast, ref = sim._simulate(None), sim._simulate_scalar(None)
+        fast, ref = sim._simulate(None), _simulate_scalar(sim, None)
         assert fast.start == ref.start
         assert fast.end == ref.end
 
@@ -211,13 +213,13 @@ class TestVectorizedReplayEquivalence:
                 for _ in range(min(25, len(ids)))
             }
             overrides["no-such-instance"] = 1.0  # silently ignored by both
-            fast, ref = sim._simulate(overrides), sim._simulate_scalar(overrides)
+            fast, ref = sim._simulate(overrides), _simulate_scalar(sim, overrides)
             assert fast.start == ref.start
             assert fast.end == ref.end
 
     def test_synthetic_bsp_matches_scalar_reference(self):
         sim = ReplaySimulator(make_bsp_trace([[1.0, 3.0], [2.0, 0.5]]), bsp_model())
         for overrides in (None, {"ss0-c0": 0.1}, {"ss1-c1": 4.0, "ss0-c1": -1.0}):
-            fast, ref = sim._simulate(overrides), sim._simulate_scalar(overrides)
+            fast, ref = sim._simulate(overrides), _simulate_scalar(sim, overrides)
             assert fast.start == ref.start
             assert fast.end == ref.end

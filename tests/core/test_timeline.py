@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timeline import TimeGrid, interval_slice_overlap, rasterize_intervals
+from repro.core.timeline import (
+    TimeGrid,
+    interval_slice_overlap,
+    rasterize_intervals,
+    rasterize_rows,
+)
 
 
 class TestTimeGrid:
@@ -181,6 +186,135 @@ class TestRasterizeIntervals:
         grid = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             rasterize_intervals(grid, np.array([1.0]), np.array([2.0, 3.0]))
+
+    @pytest.mark.parametrize("fractional", [True, False])
+    def test_no_residue_after_every_interval_ends(self, fractional):
+        """Regression: the body cumsum of 0.1 + 0.1 + 1.1 - ... left -2.2e-16.
+
+        Slices 5-7 lie after every interval; they must read exactly 0, not
+        the difference array's cancellation residue.
+        """
+        grid = TimeGrid(0.0, 1.0, 8)
+        out = rasterize_intervals(
+            grid,
+            np.array([0.0, 1.0, 2.0]),
+            np.array([3.0, 4.0, 5.0]),
+            np.array([0.1, 0.1, 1.1]),
+            fractional=fractional,
+        )
+        assert (out >= 0.0).all()
+        assert (out[5:] == 0.0).all()
+        np.testing.assert_allclose(out[:5], [0.1, 0.2, 1.3, 1.2, 1.1])
+
+    def test_negative_weights_are_not_clamped(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        out = rasterize_intervals(grid, np.array([0.0]), np.array([3.0]), np.array([-2.0]))
+        np.testing.assert_allclose(out, [-2.0, -2.0, -2.0, 0.0])
+
+
+_weights = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+_ends = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
+
+
+class TestRasterizeResidueProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_ends, _ends, _weights), min_size=1, max_size=12),
+        st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0]),
+        st.booleans(),
+    )
+    def test_nonnegative_weights_give_clean_raster(self, ivs, sd, fractional):
+        """Non-negative weights: raster >= 0 everywhere, == 0 where nothing overlaps."""
+        grid = TimeGrid(0.0, sd, int(round(10.0 / sd)))
+        starts = np.array([min(a, b) for a, b, _ in ivs])
+        ends = np.array([max(a, b) for a, b, _ in ivs])
+        weights = np.array([w for _, _, w in ivs])
+        out = rasterize_intervals(grid, starts, ends, weights, fractional=fractional)
+        assert (out >= 0.0).all()
+        edges = grid.edges
+        for k in range(grid.n_slices):
+            if fractional:
+                touched = np.any((starts < edges[k + 1]) & (ends > edges[k]))
+            else:
+                touched = any(
+                    lo <= k < hi for lo, hi in (grid.slice_range(s, e) for s, e in zip(starts, ends))
+                )
+            if not touched:
+                assert out[k] == 0.0, (k, out[k])
+
+
+class TestRasterizeRows:
+    def test_each_row_matches_one_dimensional_raster(self):
+        grid = TimeGrid(0.5, 0.25, 24)
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 4, size=30)
+        starts = rng.uniform(0.0, 6.0, size=30)
+        ends = starts + rng.uniform(0.0, 2.0, size=30)
+        out = rasterize_rows(grid, rows, starts, ends, 5)
+        assert out.shape == (5, 24)
+        for r in range(5):
+            sel = rows == r
+            assert np.array_equal(out[r], rasterize_intervals(grid, starts[sel], ends[sel]))
+
+    def test_empty_input(self):
+        out = rasterize_rows(TimeGrid(0.0, 1.0, 3), [], [], [], 2)
+        assert np.array_equal(out, np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------- #
+# Batched grid lookups agree with the scalar path everywhere, including
+# dyadic slice widths, non-representable widths like 1/3, and timestamps
+# perturbed by sub-tolerance jitter around slice boundaries (the
+# boundary-snapping path).
+# ---------------------------------------------------------------------- #
+
+#: Grid origins and widths chosen to stress both exactly representable
+#: (dyadic) and non-representable arithmetic.
+_origins = st.sampled_from([0.0, 0.1, 1.0 / 3.0, 2.5, -1.25])
+_widths = st.sampled_from([0.125, 0.25, 0.01, 0.1, 1.0 / 3.0, 0.0003])
+_jitters = st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8])
+
+_timestamps = st.tuples(
+    st.integers(-2, 60),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0 - 1e-12]),
+    _jitters,
+)
+
+
+class TestSliceRangeBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _origins, _widths,
+        st.lists(st.tuples(_timestamps, _timestamps), min_size=1, max_size=8),
+    )
+    def test_batch_matches_scalar(self, t0, sd, pairs):
+        grid = TimeGrid(t0, sd, 40)
+
+        def ts(spec):
+            k, frac, jitter = spec
+            return t0 + (k + frac) * sd + jitter * sd
+
+        starts, ends = [], []
+        for a, b in pairs:
+            x, y = sorted((ts(a), ts(b)))
+            starts.append(x)
+            ends.append(y)
+        lo, hi = grid.slice_range_batch(np.asarray(starts), np.asarray(ends))
+        assert lo.dtype == np.int64 and hi.dtype == np.int64
+        for i, (s, e) in enumerate(zip(starts, ends)):
+            assert (lo[i], hi[i]) == grid.slice_range(s, e), (
+                f"batch disagrees with scalar at t0={t0} sd={sd} [{s}, {e})"
+            )
+
+    def test_batch_rejects_inverted_intervals(self):
+        grid = TimeGrid(0.0, 0.5, 10)
+        with pytest.raises(ValueError):
+            grid.slice_range_batch(np.array([1.0]), np.array([0.5]))
+
+    def test_batch_empty_input(self):
+        grid = TimeGrid(0.0, 0.5, 10)
+        lo, hi = grid.slice_range_batch(np.array([]), np.array([]))
+        assert lo.size == 0 and hi.size == 0
 
 
 # ---------------------------------------------------------------------- #

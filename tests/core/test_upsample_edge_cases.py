@@ -8,7 +8,9 @@ from repro.core.resources import ResourceModel
 from repro.core.rules import RuleMatrix
 from repro.core.timeline import TimeGrid
 from repro.core.traces import ExecutionTrace, ResourceTrace
-from repro.core.upsample import _upsample_window, upsample
+from repro.core.upsample import upsample
+
+from .oracles import _upsample_window
 
 
 def demand_for(phases, rules, cap=100.0, n_slices=4):

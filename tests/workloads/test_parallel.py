@@ -200,7 +200,7 @@ class TestLayeredCache:
             CellSpec(spec, characterize=True),
             CellSpec(spec, characterize=True, tuned=False),
             CellSpec(spec, characterize=True, slice_duration=0.02),
-            CellSpec(spec, characterize=False, profile_backend="columnar"),
+            CellSpec(spec, characterize=True, min_phase_duration=0.1),
         ]
         results, stats = run_grid(variants, cache_dir=tmp_path)
         assert stats.trace_misses == 1 and stats.trace_hits == len(variants) - 1
