@@ -27,6 +27,7 @@ only over resources and demand entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -135,6 +136,14 @@ class AttributionResult:
     def total_usage(self, instance: PhaseInstance | str, resource: str) -> float:
         """Total consumption (units × seconds) attributed to an instance."""
         return float(self.usage(instance, resource).sum() * self.grid.slice_duration)
+
+    def rows_of(self, instance_ids: Sequence[str], resource: str) -> np.ndarray:
+        """Row of each instance in ``self[resource]``'s matrices (``-1`` where it has none)."""
+        return np.fromiter(
+            (self._index.get(iid, {}).get(resource, -1) for iid in instance_ids),
+            dtype=np.int64,
+            count=len(instance_ids),
+        )
 
     def demand_of(self, instance: PhaseInstance | str, resource: str) -> np.ndarray:
         """Per-slice estimated demand of this instance (no roll-up)."""

@@ -68,25 +68,29 @@ def blocked_time_analysis(
     (the classic "what if tasks never blocked" upper bound).
     """
     sim = simulator or ReplaySimulator(trace, model)
-    baseline = sim.baseline().makespan
-
     resources = sorted({ev.resource for inst in trace.instances() for ev in inst.blocking})
 
-    per_resource: dict[str, float] = {}
+    scenarios: list[dict[str, float]] = []
     for resource in resources:
         durations: dict[str, float] = {}
         for inst in trace.instances():
             blocked = inst.blocked_time(resource)
             if blocked > 0.0:
                 durations[inst.instance_id] = max(inst.duration - blocked, 0.0)
-        per_resource[resource] = sim.simulate(durations).makespan
+        scenarios.append(durations)
 
     all_durations: dict[str, float] = {}
     for inst in trace.instances():
         blocked = sum(e - s for s, e in inst.blocked_intervals())
         if blocked > 0.0:
             all_durations[inst.instance_id] = max(inst.duration - blocked, 0.0)
-    optimistic = sim.simulate(all_durations).makespan
+
+    # The baseline, every per-resource scenario and the all-resources one
+    # replay together.
+    baseline, *per_resource_makespans, optimistic = sim.simulate_many(
+        [None, *scenarios, all_durations]
+    ).tolist()
+    per_resource = dict(zip(resources, per_resource_makespans))
 
     return BlockedTimeResult(
         baseline_makespan=baseline,

@@ -99,7 +99,7 @@ def critical_path(
             path.append(inst)
         start = schedule.start[current]
         binding: str | None = None
-        for pid in sim._preds.get(current, ()):  # predecessors are leaf ids
+        for pid in sim._predecessor_ids(current):  # leaf ids, sorted by id
             end = schedule.end.get(pid)
             if end is not None and abs(end - start) <= 1e-9 and start > _EPS:
                 if binding is None or schedule.end[pid] > schedule.end[binding]:

@@ -111,17 +111,20 @@ def estimate_demand(
     Only *attributable* instances (those without concurrently active
     children, see :meth:`ExecutionTrace.attributable_instances`) generate
     demand; inner phases are covered by the roll-up of their descendants.
-    The activity of every instance comes from one batched rasterization;
-    per-resource totals then accumulate in instance order.
+    The activity of every instance comes from one batched rasterization,
+    and each instance's rules from one per-call table
+    (:meth:`RuleMatrix.rule_table`); per-resource totals then accumulate
+    in instance order.
     """
     attributable = trace.attributable_instances(grid)
+    table = rules.rule_table([inst for inst, _ in attributable], list(resources.consumable))
     per_resource: dict[str, ResourceDemand] = {}
-    for name, res in resources.consumable.items():
+    for j, (name, res) in enumerate(resources.consumable.items()):
         exact_total = np.zeros(grid.n_slices)
         variable_total = np.zeros(grid.n_slices)
         entries: list[DemandEntry] = []
-        for inst, activity in attributable:
-            rule = rules.rule_for(inst, name)
+        for (inst, activity), rules_of_inst in zip(attributable, table):
+            rule = rules_of_inst[j]
             if isinstance(rule, NoneRule):
                 continue
             if isinstance(rule, ExactRule):

@@ -19,18 +19,29 @@ Two issue classes are implemented, matching the paper:
   (same parent) are assumed to have interchangeable work; the what-if
   scenario gives every phase in the set the mean duration (total duration
   preserved) and replays.
+
+Both run on arrays.  The bottleneck detector masks each resource's
+utilization by every bottlenecked instance's demand once per call, then
+reduces all of one resource's bottlenecks as one ``(bottlenecks,
+slices)`` max and one packed row sum per distinct slice count.  Every
+scenario — the baseline, each resource group and each imbalanced phase
+type — replays in one :meth:`ReplaySimulator.simulate_many` pass.  The
+one-bottleneck, one-scenario-at-a-time references live in
+``tests/core/oracles.py``; the arrays equal them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .attribution import AttributionResult
-from .bottlenecks import BottleneckKind, BottleneckReport
+from .bottlenecks import Bottleneck, BottleneckKind, BottleneckReport
 from .phases import ExecutionModel
 from .simulation import ReplaySimulator
+from .timeline import _masked_row_sums
 from .traces import ExecutionTrace
 from .upsample import UpsampledTrace
 
@@ -101,47 +112,208 @@ class IssueReport:
 
 
 def _bottleneck_reductions(
-    resource: str,
+    resources: Iterable[str],
     trace: ExecutionTrace,
     report: BottleneckReport,
     upsampled: UpsampledTrace,
     attribution: AttributionResult | None,
-) -> dict[str, float]:
-    """Per-instance duration reductions from removing bottlenecks on ``resource``.
+) -> dict[str, dict[str, float]]:
+    """Per resource, the per-instance duration reductions from removing its bottlenecks.
 
     For blocking resources, a phase recovers its full blocked time.  For
     consumable resources, each bottlenecked slice compresses until the
     busiest *other* resource the phase uses would saturate: a slice where
     another resource runs at utilization ``u`` can shrink to ``u`` of its
     width, recovering ``(1 - u) × slice_duration``.
+
+    Each resource's utilization, masked by where each bottlenecked
+    instance demands it, is built once; a resource's bottlenecks then take
+    their next-busiest utilization as one ``(bottlenecks, slices)`` max
+    and sum it over exactly their own slices, like a 1-D ``np.sum``.
     """
-    grid = report.grid
-    reductions: dict[str, float] = {}
-    for b in report.for_resource(resource):
-        if b.kind == BottleneckKind.BLOCKING:
-            reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + b.duration
-            continue
-        if b.slices is None:
-            continue
-        # Utilization of the other resources this instance uses, per slice.
-        next_util = np.zeros(grid.n_slices)
-        if attribution is not None:
-            for other in upsampled.resources():
-                if other == resource or other not in attribution:
+    sd = report.grid.slice_duration
+    by_resource: dict[str, list[Bottleneck]] = {r: [] for r in resources}
+    for b in report:
+        if b.resource in by_resource:
+            by_resource[b.resource].append(b)
+    sliced = {
+        r: [b for b in bs if b.kind != BottleneckKind.BLOCKING and b.slices is not None]
+        for r, bs in by_resource.items()
+    }
+    iids = list(dict.fromkeys(b.instance_id for bs in sliced.values() for b in bs))
+    row_of = {iid: k for k, iid in enumerate(iids)}
+    # where(demand > eps, utilization, 0) per resource, one row per
+    # bottlenecked instance (zeros where the instance has no demand row).
+    masked: dict[str, np.ndarray] = {}
+    if iids and attribution is not None:
+        for other in upsampled.resources():
+            if other not in attribution:
+                continue
+            rows = attribution.rows_of(iids, other)
+            has = rows >= 0
+            util = np.zeros((len(iids), report.grid.n_slices))
+            util[has] = np.where(
+                attribution[other].demand[rows[has]] > _EPS, upsampled[other].utilization, 0.0
+            )
+            masked[other] = util
+
+    out: dict[str, dict[str, float]] = {}
+    for resource, bottlenecks in by_resource.items():
+        recovered: list[float] = []
+        if sliced[resource]:
+            ks = [row_of[b.instance_id] for b in sliced[resource]]
+            next_util = np.zeros((len(ks), report.grid.n_slices))
+            for other, util in masked.items():
+                if other != resource:
+                    np.maximum(next_util, util[ks], out=next_util)
+            slices = np.stack([b.slices for b in sliced[resource]])
+            remaining = 1.0 - np.minimum(next_util, 1.0)
+            recovered = (_masked_row_sums(remaining, slices) * sd).tolist()
+        reductions: dict[str, float] = {}
+        consumable = iter(recovered)
+        for b in bottlenecks:
+            if b.kind == BottleneckKind.BLOCKING:
+                red = b.duration
+            elif b.slices is None:
+                continue
+            else:
+                red = next(consumable)
+                if not red > 0.0:
                     continue
-                dem = attribution.demand_of(b.instance_id, other)
-                used = dem > _EPS
-                if not np.any(used):
-                    continue
-                util = upsampled[other].utilization
-                np.maximum(next_util, np.where(used, util, 0.0), out=next_util)
-        recovered = float(np.sum((1.0 - np.minimum(next_util[b.slices], 1.0)))) * grid.slice_duration
-        if recovered > 0.0:
-            reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + recovered
-    # A phase can never shrink below zero.
-    for iid, red in list(reductions.items()):
-        reductions[iid] = min(red, trace[iid].duration)
-    return reductions
+            reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + red
+        # A phase can never shrink below zero.
+        out[resource] = {
+            iid: min(red, trace[iid].duration) for iid, red in reductions.items()
+        }
+    return out
+
+
+@dataclass
+class _Scenario:
+    """One what-if: duration overrides plus what to report about them."""
+
+    kind: str
+    subject: str
+    what: str
+    affected: tuple[str, ...]
+    durations: dict[str, float]
+
+    def issue(self, baseline: float, optimistic: float) -> PerformanceIssue:
+        return PerformanceIssue(
+            kind=self.kind,
+            subject=self.subject,
+            description=(
+                f"{self.what} could reduce the makespan by {baseline - optimistic:.3f}s "
+                f"({(baseline - optimistic) / max(baseline, _EPS):.1%})"
+            ),
+            affected_instances=self.affected,
+            baseline_makespan=baseline,
+            optimistic_makespan=optimistic,
+        )
+
+
+def _evaluate(
+    sim: ReplaySimulator, scenarios: list[_Scenario], min_improvement: float
+) -> IssueReport:
+    """Replay the baseline and every scenario in one pass; keep the issues that matter."""
+    baseline, *optimistic = sim.simulate_many(
+        [None] + [s.durations for s in scenarios]
+    ).tolist()
+    issues = [s.issue(baseline, m) for s, m in zip(scenarios, optimistic)]
+    return IssueReport(
+        baseline_makespan=baseline,
+        issues=[i for i in issues if i.improvement >= min_improvement],
+    )
+
+
+def _bottleneck_scenarios(
+    trace: ExecutionTrace,
+    report: BottleneckReport,
+    upsampled: UpsampledTrace,
+    attribution: AttributionResult | None,
+    resource_groups: dict[str, list[str]] | None,
+) -> list[_Scenario]:
+    if resource_groups is None:
+        groups: dict[str, list[str]] = {r: [r] for r in sorted({b.resource for b in report})}
+    else:
+        groups = dict(resource_groups)
+    per_resource = _bottleneck_reductions(
+        (r for members in groups.values() for r in members),
+        trace, report, upsampled, attribution,
+    )
+    scenarios = []
+    for subject, members in groups.items():
+        reductions: dict[str, float] = {}
+        for resource in members:
+            for iid, red in per_resource[resource].items():
+                reductions[iid] = reductions.get(iid, 0.0) + red
+        if not reductions:
+            continue
+        scenarios.append(
+            _Scenario(
+                kind="resource-bottleneck",
+                subject=subject,
+                what=f"Removing all bottlenecks on {subject!r}",
+                affected=tuple(sorted(reductions)),
+                durations={
+                    iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()
+                },
+            )
+        )
+    return scenarios
+
+
+def _imbalance_scenarios(
+    trace: ExecutionTrace, model: ExecutionModel | None, min_group_size: int
+) -> list[_Scenario]:
+    # Collect candidate groups per phase type.
+    groups_by_type: dict[str, list[list[str]]] = {}
+    for (parent_id, phase_path), insts in trace.concurrent_groups().items():
+        if len(insts) < min_group_size:
+            continue
+        if model is not None:
+            try:
+                node = model[phase_path]
+            except KeyError:
+                continue
+            if not node.concurrent or not node.balanceable:
+                continue
+        groups_by_type.setdefault(phase_path, []).append([i.instance_id for i in insts])
+
+    scenarios = []
+    parents = {inst.parent_id for inst in trace.instances()}
+    for phase_path, groups in sorted(groups_by_type.items()):
+        durations: dict[str, float] = {}
+        affected: list[str] = []
+        for group in groups:
+            mean = float(np.mean([trace[iid].duration for iid in group]))
+            for iid in group:
+                inst = trace[iid]
+                if iid not in parents:
+                    durations[iid] = mean
+                else:
+                    # Inner instance (e.g. a per-worker Compute wrapping its
+                    # threads): equalize by scaling every leaf descendant —
+                    # "perfectly balanced" across workers while leaf totals
+                    # shrink/grow proportionally.
+                    scale = mean / inst.duration if inst.duration > 0 else 1.0
+                    for desc in trace.descendants_of(inst):
+                        if desc.instance_id not in parents:
+                            durations[desc.instance_id] = desc.duration * scale
+                affected.append(iid)
+        scenarios.append(
+            _Scenario(
+                kind="imbalance",
+                subject=phase_path,
+                what=(
+                    f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
+                    f"{len(groups)} group(s)"
+                ),
+                affected=tuple(affected),
+                durations=durations,
+            )
+        )
+    return scenarios
 
 
 def detect_bottleneck_issues(
@@ -163,41 +335,8 @@ def detect_bottleneck_issues(
     Figure 4 reports bottleneck impact per resource class.
     """
     sim = simulator or ReplaySimulator(trace, model)
-    baseline = sim.baseline().makespan
-    issues: list[PerformanceIssue] = []
-
-    if resource_groups is None:
-        groups: dict[str, list[str]] = {r: [r] for r in sorted({b.resource for b in report})}
-    else:
-        groups = dict(resource_groups)
-
-    for subject, members in groups.items():
-        reductions: dict[str, float] = {}
-        for resource in members:
-            for iid, red in _bottleneck_reductions(
-                resource, trace, report, upsampled, attribution
-            ).items():
-                reductions[iid] = reductions.get(iid, 0.0) + red
-        if not reductions:
-            continue
-        durations = {
-            iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()
-        }
-        optimistic = sim.simulate(durations).makespan
-        issue = PerformanceIssue(
-            kind="resource-bottleneck",
-            subject=subject,
-            description=(
-                f"Removing all bottlenecks on {subject!r} could reduce the makespan by "
-                f"{baseline - optimistic:.3f}s ({(baseline - optimistic) / max(baseline, _EPS):.1%})"
-            ),
-            affected_instances=tuple(sorted(reductions)),
-            baseline_makespan=baseline,
-            optimistic_makespan=optimistic,
-        )
-        if issue.improvement >= min_improvement:
-            issues.append(issue)
-    return IssueReport(baseline_makespan=baseline, issues=issues)
+    scenarios = _bottleneck_scenarios(trace, report, upsampled, attribution, resource_groups)
+    return _evaluate(sim, scenarios, min_improvement)
 
 
 def detect_imbalance_issues(
@@ -218,59 +357,7 @@ def detect_imbalance_issues(
     that type's groups at once, which is how Figure 5 aggregates them.
     """
     sim = simulator or ReplaySimulator(trace, model)
-    baseline = sim.baseline().makespan
-    issues: list[PerformanceIssue] = []
-
-    # Collect candidate groups per phase type.
-    groups_by_type: dict[str, list[list[str]]] = {}
-    for (parent_id, phase_path), insts in trace.concurrent_groups().items():
-        if len(insts) < min_group_size:
-            continue
-        if model is not None:
-            try:
-                node = model[phase_path]
-            except KeyError:
-                continue
-            if not node.concurrent or not node.balanceable:
-                continue
-        groups_by_type.setdefault(phase_path, []).append([i.instance_id for i in insts])
-
-    for phase_path, groups in sorted(groups_by_type.items()):
-        durations: dict[str, float] = {}
-        affected: list[str] = []
-        for group in groups:
-            mean = float(np.mean([trace[iid].duration for iid in group]))
-            for iid in group:
-                inst = trace[iid]
-                kids = trace.children_of(inst)
-                if not kids:
-                    durations[iid] = mean
-                else:
-                    # Inner instance (e.g. a per-worker Compute wrapping its
-                    # threads): equalize by scaling every leaf descendant —
-                    # "perfectly balanced" across workers while leaf totals
-                    # shrink/grow proportionally.
-                    scale = mean / inst.duration if inst.duration > 0 else 1.0
-                    for desc in trace.descendants_of(inst):
-                        if not trace.children_of(desc):
-                            durations[desc.instance_id] = desc.duration * scale
-                affected.append(iid)
-        optimistic = sim.simulate(durations).makespan
-        issue = PerformanceIssue(
-            kind="imbalance",
-            subject=phase_path,
-            description=(
-                f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
-                f"{len(groups)} group(s) could reduce the makespan by "
-                f"{baseline - optimistic:.3f}s ({(baseline - optimistic) / max(baseline, _EPS):.1%})"
-            ),
-            affected_instances=tuple(affected),
-            baseline_makespan=baseline,
-            optimistic_makespan=optimistic,
-        )
-        if issue.improvement >= min_improvement:
-            issues.append(issue)
-    return IssueReport(baseline_makespan=baseline, issues=issues)
+    return _evaluate(sim, _imbalance_scenarios(trace, model, min_group_size), min_improvement)
 
 
 def detect_issues(
@@ -282,11 +369,11 @@ def detect_issues(
     *,
     min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
 ) -> IssueReport:
-    """Run all issue detectors and merge their reports."""
-    sim = ReplaySimulator(trace, model)
-    b = detect_bottleneck_issues(
-        trace, model, report, upsampled, attribution,
-        min_improvement=min_improvement, simulator=sim,
-    )
-    i = detect_imbalance_issues(trace, model, min_improvement=min_improvement, simulator=sim)
-    return IssueReport(baseline_makespan=b.baseline_makespan, issues=b.issues + i.issues)
+    """Run all issue detectors and merge their reports.
+
+    The baseline and every scenario of both detectors replay in one
+    :meth:`ReplaySimulator.simulate_many` pass.
+    """
+    scenarios = _bottleneck_scenarios(trace, report, upsampled, attribution, None)
+    scenarios += _imbalance_scenarios(trace, model, 2)
+    return _evaluate(ReplaySimulator(trace, model), scenarios, min_improvement)

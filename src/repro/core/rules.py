@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from .traces import PhaseInstance
@@ -158,6 +158,27 @@ class RuleMatrix:
             if fnmatch.fnmatchcase(resource_name, pattern):
                 chosen = entry.rule
         return chosen
+
+    def rule_table(
+        self, instances: Sequence["PhaseInstance"], resource_names: Sequence[str]
+    ) -> list[list[Rule]]:
+        """:meth:`rule_for` of every instance on every resource, as rows.
+
+        ``table[i][j]`` is the rule for ``instances[i]`` on
+        ``resource_names[j]``.  A rule depends only on the instance's phase
+        path and location, so each distinct ``(phase path, machine, worker,
+        thread)`` is resolved once per call; the table lives only as long
+        as the call, so entries set later always apply to the next one.
+        """
+        resolved: dict[tuple[str, str | None, str | None, str | None], list[Rule]] = {}
+        table = []
+        for inst in instances:
+            key = (inst.phase_path, inst.machine, inst.worker, inst.thread)
+            row = resolved.get(key)
+            if row is None:
+                row = resolved[key] = [self.rule_for(inst, name) for name in resource_names]
+            table.append(row)
+        return table
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -286,6 +286,21 @@ def rasterize_intervals(
     return out
 
 
+def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row sum of ``values[mask]``.
+
+    Rows with the same number of selected entries are packed into one
+    ``(rows, k)`` matrix, so each row sums exactly like the 1-D array of
+    its selected entries alone (same order, same pairwise association).
+    """
+    out = np.zeros(values.shape[0])
+    counts = mask.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = values[rows][mask[rows]].reshape(len(rows), k).sum(axis=1)
+    return out
+
+
 def _drop_residue(out: np.ndarray, cover: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Remove the cancellation residue a float difference-array cumsum leaves.
 

@@ -329,7 +329,7 @@ class ExecutionTrace:
             np.add.at(child_sum, parent[is_kid], raw[is_kid])
             has_child[parent[is_kid]] = True
         attr = np.where(has_child[:, None], np.clip(raw - child_sum, 0.0, 1.0), raw)
-        return [(insts[r], attr[r]) for r in range(n) if np.any(attr[r] > 0.0)]
+        return [(insts[r], attr[r]) for r in np.flatnonzero((attr > 0.0).any(axis=1)).tolist()]
 
     def concurrent_groups(self) -> dict[tuple[str | None, str], list[PhaseInstance]]:
         """Group instances by (parent, phase type).

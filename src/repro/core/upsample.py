@@ -17,10 +17,11 @@ consumption over the timeslices it covers, guided by the demand estimate:
    than silently absorbed.
 
 Each measurement is processed independently, exactly as in the paper.
-:func:`upsample` executes all of a resource's windows at once: windows of
-equal width form one ``(n_windows, width)`` matrix, and the water-filling
-runs row-wise (:func:`_water_fill_batch`).  A per-window scalar reference
-lives in ``tests/core/oracles.py``; the kernel equals it bit for bit.
+:func:`upsample` executes the windows of every resource at once: windows
+of equal width form one ``(n_windows, width)`` matrix, whatever their
+resource, and the water-filling runs row-wise (:func:`_water_fill_batch`).
+A per-window scalar reference lives in ``tests/core/oracles.py``; the
+kernel equals it bit for bit.
 
 The module also implements the **constant-rate strawman** the paper
 compares against in Table II (assume consumption is constant over the
@@ -35,7 +36,7 @@ import numpy as np
 
 from .. import obs
 from .demand import DemandEstimate, ResourceDemand
-from .timeline import TimeGrid, interval_slice_overlap
+from .timeline import TimeGrid, _masked_row_sums, interval_slice_overlap
 from .traces import ResourceMeasurement, ResourceTrace
 
 __all__ = [
@@ -92,21 +93,6 @@ class UpsampledTrace:
         return list(self.per_resource)
 
 
-def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row sum of ``values[mask]``.
-
-    Rows with the same number of selected entries are packed into one
-    ``(rows, k)`` matrix, so each row sums exactly like the 1-D array of
-    its selected entries alone (same order, same pairwise association).
-    """
-    out = np.zeros(values.shape[0])
-    counts = mask.sum(axis=1)
-    for k in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == k)
-        out[rows] = values[rows][mask[rows]].reshape(len(rows), k).sum(axis=1)
-    return out
-
-
 def _water_fill_batch(
     amount: np.ndarray, weights: np.ndarray, headroom: np.ndarray
 ) -> np.ndarray:
@@ -157,50 +143,56 @@ def upsample(
 ) -> UpsampledTrace:
     """Upsample all measured consumable resources to timeslice granularity.
 
-    All of a resource's measurement windows of one width go through the
-    three steps together, as rows of one matrix.
+    The measurement windows of every resource go through the three steps
+    together: windows of one width, whatever their resource, are rows of
+    one matrix.
     """
     with obs.span("upsample", n_slices=grid.n_slices):
-        per_resource: dict[str, UpsampledResource] = {}
-        for name in resource_trace.measured_resources():
-            if name not in demand:
-                # Resource was monitored but is not in the resource model;
-                # skip — there is no capacity or demand to guide upsampling.
-                continue
-            rdemand = demand[name]
-            amount, unexplained, coverage = _upsample_windows(
-                rdemand, grid, resource_trace.measurements(name)
-            )
-            rate = np.divide(amount, coverage, out=np.zeros_like(amount), where=coverage > _EPS)
-            unexp_rate = np.divide(
-                unexplained, coverage, out=np.zeros_like(unexplained), where=coverage > _EPS
-            )
-            per_resource[name] = UpsampledResource(
+        # A resource that was monitored but is not in the resource model is
+        # skipped — there is no capacity or demand to guide upsampling.
+        names = [name for name in resource_trace.measured_resources() if name in demand]
+        amount, unexplained, coverage = _upsample_windows(
+            [demand[name] for name in names],
+            grid,
+            [resource_trace.measurements(name) for name in names],
+        )
+        rate = np.divide(amount, coverage, out=np.zeros_like(amount), where=coverage > _EPS)
+        unexp_rate = np.divide(
+            unexplained, coverage, out=np.zeros_like(unexplained), where=coverage > _EPS
+        )
+        coverage = np.clip(coverage, 0.0, 1.0)
+        per_resource = {
+            name: UpsampledResource(
                 resource=name,
-                capacity=rdemand.capacity,
-                rate=rate,
-                coverage=np.clip(coverage, 0.0, 1.0),
-                unexplained=unexp_rate,
+                capacity=demand[name].capacity,
+                rate=rate[r],
+                coverage=coverage[r],
+                unexplained=unexp_rate[r],
             )
+            for r, name in enumerate(names)
+        }
         return UpsampledTrace(grid=grid, per_resource=per_resource)
 
 
 def _upsample_windows(
-    rdemand: ResourceDemand, grid: TimeGrid, ms: list[ResourceMeasurement]
+    rdemands: list[ResourceDemand], grid: TimeGrid, windows: list[list[ResourceMeasurement]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distribute every window of one resource over the grid.
+    """Distribute every window of every resource over the grid.
 
-    Returns per-slice ``(amount, unexplained, coverage)``: the allocated
-    and the unexplained consumption in rate×slice units, and the summed
-    window coverage fractions.
+    ``windows[r]`` are the measurements of the resource ``rdemands[r]``
+    describes.  Returns ``(amount, unexplained, coverage)``, each
+    ``(resources, slices)``: the allocated and the unexplained consumption
+    in rate×slice units, and the summed window coverage fractions.
     """
     n = grid.n_slices
     sd = grid.slice_duration
-    amount = np.zeros(n)
-    unexplained = np.zeros(n)
-    coverage = np.zeros(n)
+    amount = np.zeros((len(rdemands), n))
+    unexplained = np.zeros((len(rdemands), n))
+    coverage = np.zeros((len(rdemands), n))
+    ms = [m for resource_windows in windows for m in resource_windows]
     if not ms:
         return amount, unexplained, coverage
+    res = np.repeat(np.arange(len(rdemands)), [len(w) for w in windows])
     starts = np.array([m.t_start for m in ms], dtype=np.float64)
     ends = np.array([m.t_end for m in ms], dtype=np.float64)
     values = np.array([m.value for m in ms], dtype=np.float64)
@@ -232,9 +224,12 @@ def _upsample_windows(
 
     # Per-slice capacity and demand available within each window, scaled
     # by the fraction of the slice the window covers.
-    cap = rdemand.capacity * frac
-    exact = np.minimum(np.asarray(rdemand.exact_total)[idxc] * frac, cap)
-    var_w = np.asarray(rdemand.variable_total)[idxc] * frac
+    capacity = np.array([d.capacity for d in rdemands], dtype=np.float64)
+    cap = capacity[res][:, None] * frac
+    exact_rows = np.stack([np.asarray(d.exact_total) for d in rdemands])
+    var_rows = np.stack([np.asarray(d.variable_total) for d in rdemands])
+    exact = np.minimum(exact_rows[res[:, None], idxc] * frac, cap)
+    var_w = var_rows[res[:, None], idxc] * frac
 
     # Windows of equal width go through the three steps together, so every
     # row sum runs over exactly one window's slices — the same order and
@@ -247,11 +242,12 @@ def _upsample_windows(
             total[rows], frac[rows, :w], cap[rows, :w], exact[rows, :w], var_w[rows, :w]
         )
 
-    # Scatter back in window order — the same per-slice accumulation
-    # order as a one-window-at-a-time loop.
-    np.add.at(amount, idxc[valid], alloc[valid])
-    np.add.at(unexplained, idxc[valid], unexp[valid])
-    np.add.at(coverage, idxc[valid], frac[valid])
+    # Scatter back resource by resource, in window order — the same
+    # per-slice accumulation order as a one-window-at-a-time loop.
+    cells = (res[:, None] * n + idxc)[valid]
+    np.add.at(amount.ravel(), cells, alloc[valid])
+    np.add.at(unexplained.ravel(), cells, unexp[valid])
+    np.add.at(coverage.ravel(), cells, frac[valid])
     return amount, unexplained, coverage
 
 

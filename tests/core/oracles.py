@@ -11,8 +11,13 @@ that ``repro.core`` runs as a batched array kernel:
   §III-D2);
 * :func:`_find_bottlenecks` — one attribution row at a time
   (``repro.core.bottlenecks.find_bottlenecks``, §III-E);
-* :func:`_simulate_scalar` — one instance at a time in trace order
-  (``ReplaySimulator.simulate``).
+* :func:`_bottleneck_reductions` and :func:`detect_issues` — one
+  bottleneck, one scenario and one replay at a time
+  (``repro.core.issues``, §III-F);
+* :func:`build_dependencies` and :class:`ScalarReplay` — the replay graph
+  as per-leaf id sets, replayed one instance at a time in trace order
+  (``ReplaySimulator``, its ``simulate``/``simulate_many`` and the
+  predecessor lists ``critical_path`` walks).
 
 The kernels replicate these functions' operation order, so the tests
 compare them with exact equality (``==`` / ``np.array_equal``), never
@@ -21,6 +26,7 @@ with a tolerance.
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping
 
 import numpy as np
@@ -28,6 +34,8 @@ import numpy as np
 from repro.core.attribution import AttributionResult
 from repro.core.bottlenecks import Bottleneck, BottleneckKind, BottleneckReport
 from repro.core.demand import DemandEntry, DemandEstimate, ResourceDemand
+from repro.core.issues import IssueReport, PerformanceIssue
+from repro.core.phases import ExecutionModel
 from repro.core.resources import ResourceModel
 from repro.core.rules import ExactRule, NoneRule, RuleMatrix, VariableRule
 from repro.core.simulation import ReplaySimulator, SimulationResult
@@ -352,30 +360,330 @@ def _find_bottlenecks(
 
 
 # --------------------------------------------------------------------------
-# Replay
+# Replay (§III-F)
 # --------------------------------------------------------------------------
+
+
+def _sibling_predecessor_types(
+    model: ExecutionModel | None, parent_path: str | None, phase_path: str
+) -> set[str]:
+    """Phase-type paths that must fully precede ``phase_path`` (same parent)."""
+    if model is None:
+        return set()
+    name = phase_path.rsplit("/", 1)[-1]
+    if parent_path is None:
+        node = model.root
+        prefix = ""
+    else:
+        try:
+            node = model[parent_path]
+        except KeyError:
+            return set()
+        prefix = parent_path
+    return {f"{prefix}/{pred}" for pred, succs in node.successors.items() if name in succs}
+
+
+def build_dependencies(
+    trace: ExecutionTrace, model: ExecutionModel | None
+) -> tuple[list[PhaseInstance], dict[str, list[str]]]:
+    """Dict-based reference of the replay dependency graph.
+
+    Returns the leaves in replay order and, per leaf, the id-sorted ids of
+    all its predecessor leaves — unfiltered, so including predecessors
+    that come later in the replay order.
+    """
+    leaf_cache: dict[str, list[PhaseInstance]] = {}
+
+    def leaf_descendants(inst: PhaseInstance) -> list[PhaseInstance]:
+        cached = leaf_cache.get(inst.instance_id)
+        if cached is None:
+            if not trace.children_of(inst):
+                cached = [inst]
+            else:
+                cached = [d for d in trace.descendants_of(inst) if not trace.children_of(d)]
+            leaf_cache[inst.instance_id] = cached
+        return cached
+
+    leaves = [i for i in trace.instances() if not trace.children_of(i)]
+    leaves.sort(key=lambda i: (i.t_start, i.t_end, i.instance_id))
+
+    by_parent: dict[str | None, list[PhaseInstance]] = {}
+    for inst in trace.instances():
+        by_parent.setdefault(inst.parent_id, []).append(inst)
+
+    deps: dict[str, set[str]] = {i.instance_id: set() for i in leaves}
+
+    for parent_id, group in by_parent.items():
+        parent_path = None if parent_id is None else trace[parent_id].phase_path
+        by_type: dict[str, list[PhaseInstance]] = {}
+        for inst in group:
+            by_type.setdefault(inst.phase_path, []).append(inst)
+        for insts in by_type.values():
+            insts.sort(key=lambda i: (i.t_start, i.t_end, i.instance_id))
+
+        for phase_path, insts in by_type.items():
+            pred_types = _sibling_predecessor_types(model, parent_path, phase_path)
+            pred_instances = [p for t in pred_types for p in by_type.get(t, [])]
+            last_on_key: dict[tuple[str | None, str | None, str | None], PhaseInstance] = {}
+            for inst in insts:
+                if inst.machine is not None:
+                    local = [p for p in pred_instances if p.machine == inst.machine]
+                    effective_preds = local if local else pred_instances
+                else:
+                    effective_preds = pred_instances
+                pred_leaf_ids = [
+                    leaf.instance_id for p in effective_preds for leaf in leaf_descendants(p)
+                ]
+                key = (inst.machine, inst.worker, inst.thread)
+                prev = last_on_key.get(key)
+                if prev is not None:
+                    pred_leaf_ids.extend(leaf.instance_id for leaf in leaf_descendants(prev))
+                last_on_key[key] = inst
+                if not pred_leaf_ids:
+                    continue
+                for leaf in leaf_descendants(inst):
+                    deps[leaf.instance_id].update(pred_leaf_ids)
+
+    last_leaf_on_thread: dict[tuple[str, str | None, str], PhaseInstance] = {}
+    for inst in leaves:
+        if inst.thread is None or inst.machine is None:
+            continue
+        key = (inst.machine, inst.worker, inst.thread)
+        prev = last_leaf_on_thread.get(key)
+        if prev is not None:
+            deps[inst.instance_id].add(prev.instance_id)
+        last_leaf_on_thread[key] = inst
+
+    by_id = {i.instance_id: i for i in trace.instances()}
+    for inst in trace.instances():
+        if not inst.depends_on:
+            continue
+        pred_leaf_ids = [
+            leaf.instance_id
+            for pid in inst.depends_on
+            if pid in by_id
+            for leaf in leaf_descendants(by_id[pid])
+        ]
+        if not pred_leaf_ids:
+            continue
+        for leaf in leaf_descendants(inst):
+            deps[leaf.instance_id].update(pred_leaf_ids)
+
+    return leaves, {iid: sorted(s) for iid, s in deps.items()}
+
+
+class ScalarReplay:
+    """The replay simulator one instance at a time, on the dict-based graph."""
+
+    def __init__(self, trace: ExecutionTrace, model: ExecutionModel | None) -> None:
+        self.trace = trace
+        self.order, self.preds = build_dependencies(trace, model)
+        self.wait_paths = (
+            set() if model is None else {path for path, node in model.root.walk() if node.wait}
+        )
+
+    def forward_edges(self) -> set[tuple[int, int]]:
+        """``(pred, succ)`` replay-order positions of the edges a replay keeps."""
+        pos = {inst.instance_id: k for k, inst in enumerate(self.order)}
+        return {
+            (pos[pid], k)
+            for k, inst in enumerate(self.order)
+            for pid in self.preds[inst.instance_id]
+            if pos[pid] < k
+        }
+
+    def simulate(self, durations: Mapping[str, float] | None = None) -> SimulationResult:
+        """Reference replay: one instance at a time, in trace order."""
+        start: dict[str, float] = {}
+        end: dict[str, float] = {}
+        for inst in self.order:
+            if inst.phase_path in self.wait_paths:
+                # Elastic wait phase: dependencies only, no duration — its
+                # recorded length is a property of the schedule, not work.
+                dur = 0.0
+            else:
+                dur = inst.duration
+                if durations is not None:
+                    dur = durations.get(inst.instance_id, dur)
+            s = 0.0
+            for pid in self.preds.get(inst.instance_id, ()):  # all leaves
+                e = end.get(pid)
+                if e is not None and e > s:
+                    s = e
+            start[inst.instance_id] = s
+            end[inst.instance_id] = s + max(dur, 0.0)
+        return SimulationResult(start=start, end=end)
+
+    def critical_path(self) -> list[str]:
+        """Ids of the critical path, walked back from the last-finishing leaf."""
+        schedule = self.simulate(None)
+        if not schedule.end:
+            return []
+        current: str | None = max(schedule.end, key=lambda iid: (schedule.end[iid], iid))
+        path: list[str] = []
+        visited: set[str] = set()
+        while current is not None and current not in visited:
+            visited.add(current)
+            inst = self.trace[current]
+            if inst.phase_path not in self.wait_paths and inst.duration > _EPS:
+                path.append(current)
+            start = schedule.start[current]
+            binding: str | None = None
+            for pid in self.preds.get(current, ()):
+                end = schedule.end.get(pid)
+                if end is not None and abs(end - start) <= 1e-9 and start > _EPS:
+                    if binding is None or schedule.end[pid] > schedule.end[binding]:
+                        binding = pid
+            current = binding
+        path.reverse()
+        return path
+
+
+_REPLAYS: "weakref.WeakKeyDictionary[ReplaySimulator, ScalarReplay]" = weakref.WeakKeyDictionary()
+
+
+def scalar_replay(sim: ReplaySimulator) -> ScalarReplay:
+    """The :class:`ScalarReplay` of ``sim``'s trace and model (built once per ``sim``)."""
+    replay = _REPLAYS.get(sim)
+    if replay is None:
+        replay = _REPLAYS[sim] = ScalarReplay(sim.trace, sim.model)
+    return replay
 
 
 def _simulate_scalar(
     sim: ReplaySimulator, durations: Mapping[str, float] | None
 ) -> SimulationResult:
-    """Reference implementation: one instance at a time, in trace order."""
-    start: dict[str, float] = {}
-    end: dict[str, float] = {}
-    for inst in sim._order:
-        if inst.phase_path in sim._wait_paths:
-            # Elastic wait phase: dependencies only, no duration — its
-            # recorded length is a property of the schedule, not work.
-            dur = 0.0
-        else:
-            dur = inst.duration
-            if durations is not None:
-                dur = durations.get(inst.instance_id, dur)
-        s = 0.0
-        for pid in sim._preds.get(inst.instance_id, ()):  # all leaves
-            e = end.get(pid)
-            if e is not None and e > s:
-                s = e
-        start[inst.instance_id] = s
-        end[inst.instance_id] = s + max(dur, 0.0)
-    return SimulationResult(start=start, end=end)
+    """Reference replay of ``sim``'s trace, on the oracle's own graph."""
+    return scalar_replay(sim).simulate(durations)
+
+
+# --------------------------------------------------------------------------
+# Issues (§III-F)
+# --------------------------------------------------------------------------
+
+
+def _bottleneck_reductions(
+    resource: str,
+    trace: ExecutionTrace,
+    report: BottleneckReport,
+    upsampled: UpsampledTrace,
+    attribution: AttributionResult | None,
+) -> dict[str, float]:
+    """Per-instance duration reductions from removing bottlenecks on ``resource``.
+
+    One bottleneck at a time: a blocking bottleneck recovers its blocked
+    time; a consumable one recovers ``(1 - u) × slice_duration`` per
+    bottlenecked slice, where ``u`` is the busiest *other* resource the
+    instance uses in that slice.
+    """
+    grid = report.grid
+    reductions: dict[str, float] = {}
+    for b in report.for_resource(resource):
+        if b.kind == BottleneckKind.BLOCKING:
+            reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + b.duration
+            continue
+        if b.slices is None:
+            continue
+        next_util = np.zeros(grid.n_slices)
+        if attribution is not None:
+            for other in upsampled.resources():
+                if other == resource or other not in attribution:
+                    continue
+                dem = attribution.demand_of(b.instance_id, other)
+                used = dem > _EPS
+                if not np.any(used):
+                    continue
+                util = upsampled[other].utilization
+                np.maximum(next_util, np.where(used, util, 0.0), out=next_util)
+        recovered = float(np.sum((1.0 - np.minimum(next_util[b.slices], 1.0)))) * grid.slice_duration
+        if recovered > 0.0:
+            reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + recovered
+    for iid, red in list(reductions.items()):
+        reductions[iid] = min(red, trace[iid].duration)
+    return reductions
+
+
+def _issue(kind, subject, what, affected, baseline, optimistic) -> PerformanceIssue:
+    return PerformanceIssue(
+        kind=kind,
+        subject=subject,
+        description=(
+            f"{what} could reduce the makespan by {baseline - optimistic:.3f}s "
+            f"({(baseline - optimistic) / max(baseline, _EPS):.1%})"
+        ),
+        affected_instances=tuple(affected),
+        baseline_makespan=baseline,
+        optimistic_makespan=optimistic,
+    )
+
+
+def detect_issues(
+    trace: ExecutionTrace,
+    model: ExecutionModel | None,
+    report: BottleneckReport,
+    upsampled: UpsampledTrace,
+    attribution: AttributionResult | None,
+    *,
+    min_improvement: float,
+    min_group_size: int = 2,
+) -> IssueReport:
+    """Both §III-F detectors, one scenario and one scalar replay at a time."""
+    replay = ScalarReplay(trace, model)
+    baseline = replay.simulate(None).makespan
+    issues: list[PerformanceIssue] = []
+
+    # Resource bottlenecks, one resource at a time.
+    for resource in sorted({b.resource for b in report}):
+        reductions = _bottleneck_reductions(resource, trace, report, upsampled, attribution)
+        if not reductions:
+            continue
+        durations = {iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()}
+        optimistic = replay.simulate(durations).makespan
+        issues.append(
+            _issue(
+                "resource-bottleneck", resource, f"Removing all bottlenecks on {resource!r}",
+                sorted(reductions), baseline, optimistic,
+            )
+        )
+
+    # Imbalance, one balanceable phase type at a time.
+    groups_by_type: dict[str, list[list[str]]] = {}
+    for (_, phase_path), insts in trace.concurrent_groups().items():
+        if len(insts) < min_group_size:
+            continue
+        if model is not None:
+            try:
+                node = model[phase_path]
+            except KeyError:
+                continue
+            if not node.concurrent or not node.balanceable:
+                continue
+        groups_by_type.setdefault(phase_path, []).append([i.instance_id for i in insts])
+    for phase_path, groups in sorted(groups_by_type.items()):
+        durations = {}
+        affected: list[str] = []
+        for group in groups:
+            mean = float(np.mean([trace[iid].duration for iid in group]))
+            for iid in group:
+                inst = trace[iid]
+                if not trace.children_of(inst):
+                    durations[iid] = mean
+                else:
+                    scale = mean / inst.duration if inst.duration > 0 else 1.0
+                    for desc in trace.descendants_of(inst):
+                        if not trace.children_of(desc):
+                            durations[desc.instance_id] = desc.duration * scale
+                affected.append(iid)
+        optimistic = replay.simulate(durations).makespan
+        issues.append(
+            _issue(
+                "imbalance", phase_path,
+                f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
+                f"{len(groups)} group(s)",
+                affected, baseline, optimistic,
+            )
+        )
+    return IssueReport(
+        baseline_makespan=baseline,
+        issues=[i for i in issues if i.improvement >= min_improvement],
+    )

@@ -1,6 +1,6 @@
 """Differential suite: the pipeline's batched kernels vs the scalar oracles.
 
-Every §III-D/E stage of :class:`repro.core.Grade10` runs as a batched
+Every §III-D/E/F stage of :class:`repro.core.Grade10` runs as a batched
 array kernel.  ``tests/core/oracles.py`` keeps the one-item-at-a-time
 reference of each kernel; this suite holds each kernel to its oracle with
 **exact** equality (``==`` on ids, kinds and floats, ``np.array_equal`` on
@@ -11,8 +11,13 @@ arrays — no tolerance):
 * on Hypothesis-generated pipeline runs (:func:`build_profile`).
 
 The kernels replicate the oracles' operation order (sequential
-``np.add.at`` scatters, row sums over exactly one window's slices,
-masked sums over exactly the active entries), so equality is bitwise.
+``np.add.at`` scatters, row sums over exactly one window's or one
+bottleneck's slices, masked sums over exactly the active entries, exact
+max and add in the replay), so equality is bitwise.  §III-F is covered
+piece by piece — the rule table, the bottleneck reductions, the replay
+graph's edges and predecessor lists, the critical path, every
+``simulate_many`` row and the issue reports — and as part of the whole
+exported profile.
 
 A per-fault outcome table closes the suite: every shipped
 :class:`repro.faults.FaultSpec`, applied to the tiny archive, must keep
@@ -29,16 +34,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExecutionModel, Grade10, ResourceModel, RuleMatrix
-from repro.core.attribution import attribute
-from repro.core.bottlenecks import find_bottlenecks
+from repro.core.attribution import AttributionResult, ResourceAttribution, attribute
+from repro.core.bottlenecks import Bottleneck, BottleneckKind, BottleneckReport, find_bottlenecks
+from repro.core.critical_path import critical_path
 from repro.core.export import profile_to_dict
 from repro.core.invariants import INVARIANTS
-from repro.core.issues import detect_issues
+from repro.core.issues import _bottleneck_reductions, detect_issues
 from repro.core.outliers import find_outliers
 from repro.core.profile import PerformanceProfile
 from repro.core.simulation import ReplaySimulator
+from repro.core.timeline import TimeGrid
 from repro.core.traces import ExecutionTrace, ResourceTrace
-from repro.core.upsample import _water_fill_batch
+from repro.core.upsample import UpsampledResource, UpsampledTrace, _water_fill_batch
 from repro.faults import FAULTS, apply_faults, fault_at
 from repro.workloads import WorkloadSpec, analysis_inputs, run_workload
 from repro.workloads.archive import ArchiveError, characterize_archive
@@ -112,7 +119,7 @@ def oracle_characterize(g10: Grade10, trace, resource_trace) -> PerformanceProfi
         exact_cap_threshold=g10.exact_cap_threshold,
         min_duration=0.0,
     )
-    issues = detect_issues(
+    issues = oracles.detect_issues(
         trace,
         g10.execution_model,
         bottlenecks,
@@ -143,13 +150,60 @@ def _export(profile) -> str:
     return json.dumps(profile_to_dict(profile, series=True), sort_keys=True)
 
 
-def assert_replay_equal(trace, model):
+def assert_replay_equal(trace, model, scenarios=None):
+    """Every ``simulate_many`` row equals its single replay and the scalar replay."""
     sim = ReplaySimulator(trace, model)
-    ids = sim._ids
-    for overrides in (None, {iid: 0.5 * k for k, iid in enumerate(ids[::3])}):
+    if scenarios is None:
+        scenarios = [None, {iid: 0.5 * k for k, iid in enumerate(sim._ids[::3])}]
+    makespans = sim.simulate_many(scenarios).tolist()
+    assert len(makespans) == len(scenarios)
+    for overrides, makespan in zip(scenarios, makespans):
         fast, ref = sim.simulate(overrides), oracles._simulate_scalar(sim, overrides)
         assert fast.start == ref.start
         assert fast.end == ref.end
+        assert makespan == fast.makespan == ref.makespan
+
+
+def assert_replay_graph_equal(trace, model):
+    """Edges after the ``pred < succ`` filter, the id-sorted predecessor
+    lists and the critical path all equal the dict-based oracle's."""
+    sim = ReplaySimulator(trace, model)
+    ref = oracles.ScalarReplay(trace, model)
+    assert sim._ids == [inst.instance_id for inst in ref.order]
+    n = len(sim._ids)
+    assert {divmod(int(code), n) for code in sim._edge_codes} == ref.forward_edges()
+    for iid in sim._ids:
+        assert sim._predecessor_ids(iid) == ref.preds[iid], iid
+    path = critical_path(trace, model, simulator=sim)
+    assert [inst.instance_id for inst in path] == ref.critical_path()
+
+
+def assert_reductions_equal(trace, report, upsampled, attribution, resources=None):
+    if resources is None:
+        resources = sorted({b.resource for b in report})
+    kernel = _bottleneck_reductions(resources, trace, report, upsampled, attribution)
+    for resource in resources:
+        oracle = oracles._bottleneck_reductions(resource, trace, report, upsampled, attribution)
+        assert list(kernel[resource].items()) == list(oracle.items()), resource
+
+
+def assert_rule_table_equal(rules, trace, resource_names):
+    instances = trace.instances()
+    assert rules.rule_table(instances, resource_names) == [
+        [rules.rule_for(inst, name) for name in resource_names] for inst in instances
+    ]
+
+
+def assert_issues_equal(g10, profile):
+    args = (
+        profile.execution_trace,
+        g10.execution_model,
+        profile.bottlenecks,
+        profile.upsampled,
+        profile.attribution,
+    )
+    kernel = detect_issues(*args, min_improvement=g10.min_improvement)
+    assert kernel == oracles.detect_issues(*args, min_improvement=g10.min_improvement)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +262,26 @@ class TestBackendEquivalence:
     def test_replay_equivalent(self, system):
         g10, profile = _golden(system)
         assert_replay_equal(profile.execution_trace, g10.execution_model)
+
+    def test_replay_graph_equivalent(self, system):
+        g10, profile = _golden(system)
+        assert_replay_graph_equal(profile.execution_trace, g10.execution_model)
+
+    def test_bottleneck_reductions_equivalent(self, system):
+        _, profile = _golden(system)
+        assert_reductions_equal(
+            profile.execution_trace, profile.bottlenecks, profile.upsampled, profile.attribution
+        )
+
+    def test_issue_reports_equivalent(self, system):
+        g10, profile = _golden(system)
+        assert_issues_equal(g10, profile)
+
+    def test_rule_table_equivalent(self, system):
+        g10, profile = _golden(system)
+        assert_rule_table_equal(
+            g10.rules, profile.execution_trace, g10.resource_model.names()
+        )
 
     def test_invariants_hold_under_columnar(self, system):
         """The batched (columnar) kernels' profile passes every invariant."""
@@ -319,6 +393,10 @@ class TestGeneratedProfiles:
             ),
         )
         assert_replay_equal(trace, g10.execution_model)
+        assert_replay_graph_equal(trace, g10.execution_model)
+        assert_reductions_equal(trace, profile.bottlenecks, profile.upsampled, profile.attribution)
+        assert_issues_equal(g10, profile)
+        assert_rule_table_equal(g10.rules, trace, g10.resource_model.names())
 
     @settings(max_examples=25, deadline=None)
     @given(profile_inputs)
@@ -363,6 +441,172 @@ class TestGeneratedProfiles:
         kw = dict(saturation_threshold=0.5, exact_cap_threshold=0.5, min_duration=min_duration)
         assert_bottlenecks_equal(
             find_bottlenecks(*args, **kw), oracles._find_bottlenecks(*args, **kw)
+        )
+
+
+# ---------------------------------------------------------------------------
+# §III-F on generated inputs: replay traces with every dependency kind, and
+# bottleneck reductions over several resources.
+# ---------------------------------------------------------------------------
+
+
+def replay_model() -> ExecutionModel:
+    """Barrier, wait, nested and repeatable phases: every replay relation."""
+    m = ExecutionModel("replay")
+    m.add_phase("/Load")
+    m.add_phase("/Execute", after="Load")
+    m.add_phase("/Execute/Step", repeatable=True)
+    m.add_phase("/Execute/Step/Compute", concurrent=True)
+    m.add_phase("/Execute/Step/Compute/Thread", concurrent=True)
+    m.add_phase("/Execute/Step/Wait", after="Compute", wait=True)
+    m.add_phase("/Execute/Step/Barrier", after="Wait")
+    return m
+
+
+_t = st.floats(0.0, 4.0, allow_nan=False)
+_len = st.floats(0.0, 2.0, allow_nan=False)
+_machine = st.sampled_from(["m0", "m1", None])
+_thread = st.sampled_from(["t0", "t1", None])
+
+
+@st.composite
+def replay_cases(draw):
+    """A trace (possibly empty, timings possibly out of order, with
+    ``depends_on`` on inner, missing and own ids) plus override scenarios
+    over leaf, inner, wait-path and unknown ids, negative values included."""
+    trace = ExecutionTrace()
+
+    def record(path, instance_id, **kw):
+        t0 = draw(_t)
+        return trace.record(path, t0, t0 + draw(_len), instance_id=instance_id, **kw)
+
+    n_steps = draw(st.integers(0, 3))
+    if n_steps or draw(st.booleans()):
+        record("/Load", "load", machine=draw(_machine))
+    if n_steps:
+        ex = record("/Execute", "exec")
+        for s in range(n_steps):
+            step = record("/Execute/Step", f"s{s}", parent=ex)
+            for c in range(draw(st.integers(1, 3))):
+                iid = f"s{s}c{c}"
+                known = [i.instance_id for i in trace.instances()] + [iid, "ghost"]
+                comp = record(
+                    "/Execute/Step/Compute", iid, parent=step,
+                    machine=draw(_machine), thread=draw(_thread),
+                    depends_on=draw(st.lists(st.sampled_from(known), max_size=2)),
+                )
+                for k in range(draw(st.integers(0, 2))):
+                    record(
+                        "/Execute/Step/Compute/Thread", f"{iid}t{k}", parent=comp,
+                        machine=comp.machine, thread=draw(_thread),
+                    )
+            record("/Execute/Step/Wait", f"s{s}w", parent=step)
+            record("/Execute/Step/Barrier", f"s{s}b", parent=step, machine=draw(_machine))
+    ids = [i.instance_id for i in trace.instances()] + ["ghost"]
+    overrides = st.dictionaries(
+        st.sampled_from(ids), st.floats(-2.0, 3.0, allow_nan=False), max_size=6
+    )
+    scenarios = draw(st.lists(st.none() | overrides, min_size=1, max_size=4))
+    model = replay_model() if draw(st.booleans()) else None
+    return trace, model, scenarios
+
+
+_kinds = st.sampled_from(list(BottleneckKind))
+_levels = st.sampled_from([0.0, 1e-13, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+@st.composite
+def reduction_cases(draw):
+    """Bottlenecks of every kind on up to three attributed resources, plus
+    one upsampled resource without attribution and one blocking resource."""
+    n = draw(st.integers(1, 8))
+    grid = TimeGrid(0.0, 0.25, n)
+    iids = ["a", "b", "c", "d"]
+    trace = ExecutionTrace()
+    for iid in iids:
+        trace.record("/P", 0.0, draw(st.floats(0.0, 2.0, allow_nan=False)), instance_id=iid)
+    names = ["r0", "r1", "r2"][: draw(st.integers(1, 3))]
+    row = lambda: np.array(draw(st.lists(_levels, min_size=n, max_size=n)))  # noqa: E731
+    upsampled = UpsampledTrace(grid=grid, per_resource={})
+    per_resource = {}
+    for name in names + ["unattributed"]:
+        capacity = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        upsampled.per_resource[name] = UpsampledResource(
+            name, capacity, row(), np.ones(n), np.zeros(n)
+        )
+        if name == "unattributed":
+            continue
+        rows = draw(st.lists(st.sampled_from(iids), unique=True))
+        demand = np.array([row() for _ in rows]).reshape(len(rows), n)
+        per_resource[name] = ResourceAttribution(
+            name, capacity, rows, np.zeros_like(demand), np.zeros(n), demand,
+            np.zeros(len(rows), dtype=bool),
+        )
+    attribution = AttributionResult(grid, trace, per_resource)
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    report = BottleneckReport(grid=grid)
+    for kind, iid, resource, duration, slices in draw(
+        st.lists(
+            st.tuples(
+                _kinds, st.sampled_from(iids), st.sampled_from(names + ["gc"]),
+                st.floats(0.0, 2.0, allow_nan=False), st.none() | mask,
+            ),
+            max_size=10,
+        )
+    ):
+        report.bottlenecks.append(Bottleneck(kind, iid, "/P", resource, duration, slices))
+    return trace, report, upsampled, attribution if draw(st.booleans()) else None
+
+
+class TestReplayAndIssueKernels:
+    """§III-F kernels against their oracles on generated inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_cases())
+    def test_simulate_many_rows_equal_single_and_scalar_replays(self, case):
+        trace, model, scenarios = case
+        assert_replay_equal(trace, model, scenarios)
+
+    @settings(max_examples=100, deadline=None)
+    @given(replay_cases())
+    def test_replay_graph_equals_oracle(self, case):
+        trace, model, _ = case
+        assert_replay_graph_equal(trace, model)
+
+    def test_empty_trace(self):
+        sim = ReplaySimulator(ExecutionTrace(), None)
+        scenarios = [None, {"ghost": 1.0}]
+        assert sim.simulate_many(scenarios).tolist() == [0.0, 0.0]
+        assert_replay_equal(ExecutionTrace(), None, scenarios)
+        assert_replay_graph_equal(ExecutionTrace(), None)
+
+    def test_rule_table_resolves_every_location(self):
+        """Instances differing in any one of path, machine, worker or thread
+        get their own rules, placeholders and the ``*`` fallback included."""
+        rules = (
+            RuleMatrix()
+            .set_variable("/*", "*", 2.0)
+            .set_exact("/A", "cpu@{machine}", 0.5)
+            .set_none("/A/*", "net@{worker}")
+            .set_exact("/B", "disk@{thread}", 0.25)
+            .set_variable("/B", "cpu@*", 3.0)
+        )
+        trace = ExecutionTrace()
+        locations = [(m, w, t) for m in ("m0", "m1", None) for w in ("w0", "w1", None)
+                     for t in ("t0", "t1", None)]
+        for path in ("/A", "/A/x", "/B"):
+            for machine, worker, thread in locations:
+                trace.record(path, 0.0, 1.0, machine=machine, worker=worker, thread=thread)
+        names = [f"{kind}@{loc}" for kind in ("cpu", "net", "disk")
+                 for loc in ("m0", "m1", "w0", "w1", "t0", "t1")]
+        assert_rule_table_equal(rules, trace, names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reduction_cases())
+    def test_bottleneck_reductions_equal_oracle(self, case):
+        trace, report, upsampled, attribution = case
+        assert_reductions_equal(
+            trace, report, upsampled, attribution, ["r0", "r1", "r2", "gc", "unattributed"]
         )
 
 
