@@ -7,9 +7,10 @@ every iteration and each iteration scans every edge — CDLP is the
 heaviest of the paper's four algorithms, and its Gather-step imbalance on
 PowerGraph is the centerpiece of the paper's Figure 5/6 case study.
 
-The per-iteration mode computation is vectorized as a lexsort +
-run-length reduction over (destination, label) pairs: ``O(E log E)`` with
-no Python loop over edges.
+The per-iteration mode is one ``np.sort`` of the int64 keys
+``dst * n + label`` plus run-length reductions over the sorted keys:
+``O(E log E)`` with no Python loop over edges and no ``np.lexsort``
+(DESIGN.md, "Sorted int64 keys").
 """
 
 from __future__ import annotations
@@ -26,33 +27,27 @@ def _mode_per_vertex(dst: np.ndarray, labels_in: np.ndarray, n: int) -> np.ndarr
     """For each destination vertex, the most frequent incoming label.
 
     Ties break toward the smaller label.  Vertices with no incoming edge
-    get label ``-1`` (caller keeps their old label).
+    get label ``-1`` (caller keeps their old label).  Labels are vertex
+    ids, so ``dst * n + label`` is injective and sorting it groups the
+    edges by destination with the labels ascending inside each group.
     """
-    if dst.size == 0:
-        return np.full(n, -1, dtype=np.int64)
-    order = np.lexsort((labels_in, dst))
-    d = dst[order]
-    l = labels_in[order]
-    # Run boundaries of identical (dst, label) pairs.
-    boundary = np.empty(d.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (d[1:] != d[:-1]) | (l[1:] != l[:-1])
-    run_starts = np.nonzero(boundary)[0]
-    run_counts = np.diff(np.append(run_starts, d.size))
-    run_dst = d[run_starts]
-    run_label = l[run_starts]
-    # Within each destination pick the run with the highest count; ties
-    # resolve to the smallest label because runs are label-sorted and
-    # argmax keeps the first maximum.
     out = np.full(n, -1, dtype=np.int64)
-    # Order runs by (dst, count desc, label asc) and keep the first run of
-    # each destination: that run is the mode with smallest-label tiebreak.
-    order2 = np.lexsort((run_label, -run_counts, run_dst))
-    rd = run_dst[order2]
-    first = np.empty(rd.size, dtype=bool)
-    first[0] = True
-    first[1:] = rd[1:] != rd[:-1]
-    out[rd[first]] = run_label[order2][first]
+    if dst.size == 0:
+        return out
+    key = np.sort(dst * n + labels_in)
+    # Runs of identical (dst, label) keys.
+    run_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    run_counts = np.diff(np.append(run_starts, key.size))
+    run_dst, run_label = np.divmod(key[run_starts], n)
+    # Runs of one destination are contiguous: take each one's highest
+    # count, then the first run reaching it.  Runs are label-sorted, so
+    # that run carries the smallest of the most frequent labels.
+    group_starts = np.flatnonzero(np.concatenate(([True], run_dst[1:] != run_dst[:-1])))
+    group_sizes = np.diff(np.append(group_starts, run_dst.size))
+    best = np.repeat(np.maximum.reduceat(run_counts, group_starts), group_sizes)
+    modal = np.flatnonzero(run_counts == best)
+    first = np.concatenate(([True], run_dst[modal[1:]] != run_dst[modal[:-1]]))
+    out[run_dst[modal[first]]] = run_label[modal[first]]
     return out
 
 

@@ -8,13 +8,39 @@ cache-friendly.
 
 Graphs are directed; undirected graphs are represented by storing both
 orientations of every edge (:meth:`Graph.to_undirected`).
+
+CSR order is the order of the int64 key ``src * n_vertices + dst``.  The
+key is injective on ``(src, dst)``, so sorting it sorts the edges by
+source, then destination, and ``np.divmod(key, n_vertices)`` gives the
+pairs back.  Construction therefore costs one order check (input that is
+already in CSR order, like a graph-cache payload, is kept as it is), or
+one ``np.sort`` of the keys — never a multi-key ``np.lexsort`` or a
+hash-based ``np.unique``, both many times slower (DESIGN.md, "Sorted
+int64 keys").  The key bounds ``n_vertices`` by :data:`MAX_VERTICES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "MAX_VERTICES", "sorted_unique"]
+
+#: Largest vertex count whose edge keys ``src * n + dst`` (at most
+#: ``n**2 - 1``) fit in an int64: ``isqrt(2**63)``.
+MAX_VERTICES = 3_037_000_499
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    Equal to ``np.unique(values)``, computed by one ``np.sort`` and an
+    adjacent-difference mask instead of NumPy's hash-based unique.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 class Graph:
@@ -26,7 +52,8 @@ class Graph:
         Number of vertices, ids ``0 .. n_vertices - 1``.
     src, dst:
         Parallel edge arrays.  Duplicate edges and self-loops are kept
-        unless ``dedup`` is set.
+        unless ``dedup`` is set.  Arrays already in CSR order are kept
+        without a copy, so the graph may share them with the caller.
     dedup:
         Remove duplicate edges (keeping one copy) and self-loops.
     """
@@ -41,6 +68,11 @@ class Graph:
     ) -> None:
         if n_vertices < 0:
             raise ValueError(f"n_vertices must be >= 0, got {n_vertices}")
+        if n_vertices > MAX_VERTICES:
+            raise ValueError(
+                f"n_vertices must be <= {MAX_VERTICES:,} (edge keys "
+                f"src * n_vertices + dst must fit in int64), got {n_vertices:,}"
+            )
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
         if src.shape != dst.shape:
@@ -50,17 +82,17 @@ class Graph:
         if dst.size and (dst.min() < 0 or dst.max() >= n_vertices):
             raise ValueError("dst contains out-of-range vertex ids")
 
-        if dedup and src.size:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            key = src * n_vertices + dst
-            _, unique_idx = np.unique(key, return_index=True)
-            src, dst = src[unique_idx], dst[unique_idx]
+        key = src * n_vertices + dst
+        if dedup:
+            src, dst = np.divmod(sorted_unique(key[src != dst]), n_vertices)
+        elif np.any(key[1:] < key[:-1]):
+            # Duplicate edges are equal pairs, so decoding the sorted keys
+            # gives exactly the stable reorder of the input arrays.
+            src, dst = np.divmod(np.sort(key), n_vertices)
 
         self.n_vertices = int(n_vertices)
-        order = np.lexsort((dst, src))
-        self._src = np.ascontiguousarray(src[order])
-        self._dst = np.ascontiguousarray(dst[order])
+        self._src = np.ascontiguousarray(src)
+        self._dst = np.ascontiguousarray(dst)
         counts = np.bincount(self._src, minlength=n_vertices)
         self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self._in_degree: np.ndarray | None = None

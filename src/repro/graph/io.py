@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 
 __all__ = ["read_edge_list", "write_edge_list"]
 
@@ -42,7 +42,7 @@ def read_edge_list(
         raise ValueError("edge list must have at least two columns (src dst)")
     src, dst = data[:, 0], data[:, 1]
     if n_vertices is None:
-        ids = np.unique(np.concatenate([src, dst]))
+        ids = sorted_unique(np.concatenate([src, dst]))
         lookup = np.searchsorted(ids, src), np.searchsorted(ids, dst)
         return Graph(ids.size, lookup[0], lookup[1], dedup=dedup)
     return Graph(n_vertices, src, dst, dedup=dedup)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 
 __all__ = [
     "EdgeCutPartition",
@@ -129,7 +129,7 @@ class VertexCutPartition:
                 [self.master[v]],
             ]
         )
-        return np.unique(machines)
+        return sorted_unique(machines)
 
     def replication_factor(self) -> float:
         """Average number of replicas per vertex (PowerGraph's key metric)."""
@@ -140,7 +140,7 @@ class VertexCutPartition:
         v_all = np.concatenate([src, dst, np.arange(self.graph.n_vertices)])
         m_all = np.concatenate([self.edge_machine, self.edge_machine, self.master])
         pairs = v_all * np.int64(self.n_machines) + m_all
-        return float(np.unique(pairs).size / self.graph.n_vertices)
+        return float(sorted_unique(pairs).size / self.graph.n_vertices)
 
     def edge_balance(self) -> float:
         """Max/mean ratio of per-machine edge counts (1.0 = perfect)."""

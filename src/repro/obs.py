@@ -15,7 +15,7 @@ Usage::
     tracer = obs.install()                    # start tracing this process
     with obs.span("attribute", label=...):    # hierarchical, per-thread
         ...
-    obs.counter("cache.hit")                  # monotonically accumulated
+    obs.counter("cache.trace.hit")            # monotonically accumulated
     obs.uninstall()
     tracer.export_chrome_trace("trace.json")  # open in chrome://tracing
 
@@ -635,13 +635,13 @@ class Tracer:
         wall-clock offsets and render one track group per worker).
         Counter events are rebased onto this tracer's running totals,
         restamped with its pid, *and* restamped to the ingest time, so a
-        sweep's ``cache.hit``/``cache.miss`` render as one accumulating
-        counter track rather than one restarting-from-zero track per
-        worker task.  (Snapshots arrive in result order, not time order;
-        re-timestamping keeps the merged track monotone in both time and
-        value — the counter marks when the parent merged the result, not
-        when the worker bumped it.  Span events keep their true worker
-        timestamps.)
+        sweep's ``cache.trace.hit``/``cache.trace.miss`` render as one
+        accumulating counter track rather than one restarting-from-zero
+        track per worker task.  (Snapshots arrive in result order, not
+        time order; re-timestamping keeps the merged track monotone in
+        both time and value — the counter marks when the parent merged
+        the result, not when the worker bumped it.  Span events keep their
+        true worker timestamps.)
         """
         events = list(snapshot.get("events", ()))
         counters = dict(snapshot.get("counters", {}))
@@ -925,7 +925,7 @@ def sanitize_metric_name(name: str) -> str:
 
     Metric names must match ``[a-zA-Z_][a-zA-Z0-9_]*``: every other
     character becomes ``_``, and a leading digit (or empty input) gains a
-    ``_`` prefix.  ``cache.hit`` → ``cache_hit``.
+    ``_`` prefix.  ``cache.trace.hit`` → ``cache_trace_hit``.
     """
     name = _METRIC_NAME_BAD.sub("_", name)
     if not name or name[0].isdigit():
@@ -1065,7 +1065,7 @@ def metrics_exposition(
     every metric family a ``# HELP``/``# TYPE`` header followed by its
     samples, terminated by ``# EOF``.  Metric and label *names* are
     sanitized into the OpenMetrics charset; label *values* are escaped but
-    otherwise kept verbatim (so ``cache.hit`` survives as a label value),
+    otherwise kept verbatim (so ``cache.trace.hit`` survives as a label value),
     and sample values are emitted with full float round-trip precision.
     Families, the label sets within a family, and the labels within a
     sample are all emitted in sorted order, so two scrapes of identical

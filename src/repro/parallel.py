@@ -552,8 +552,9 @@ def _write_graph_payload(graph: Any, spec: "WorkloadSpec", tmp: Path) -> None:
 def _load_graph_payload(directory: Path):
     """Rebuild a :class:`~repro.graph.Graph` from a graph-layer payload.
 
-    The edge arrays were saved in CSR order, so reconstruction's stable
-    lexsort is the identity permutation — the round-tripped graph carries
+    The edge arrays were saved in CSR order, so the constructor's order
+    check passes and it keeps them as loaded: a load costs ``np.load``,
+    that check and one ``bincount``, and the round-tripped graph carries
     the exact arrays of the generated one (and with it, bit-identical
     downstream traces).
     """
@@ -639,7 +640,6 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
         key = cache_key(trace_key_material(cell))
 
         if cache is not None and cache.has(key, "trace"):
-            obs.counter("cache.hit")
             obs.counter("cache.trace.hit")
             progress.publish("cell.cache_hit", cell.label, key=key)
             meta = cache.load_meta(key, "trace")
@@ -667,7 +667,6 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
         graph_hit: bool | None = None
         graph_key = None
         if cache is not None:
-            obs.counter("cache.miss")
             obs.counter("cache.trace.miss")
             # Trace miss: the generated graph may still be shared — every
             # cell on the same (dataset, preset) replays one generation.

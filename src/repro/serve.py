@@ -10,10 +10,11 @@ A zero-dependency :class:`ThreadingHTTPServer` that watches grid runs
 ``GET /metrics``
     Live OpenMetrics text exposition
     (:func:`repro.obs.metrics_exposition`): the active tracer's
-    cumulative pipeline counters (``cache.hit``/``cache.miss``/…) plus
-    the active run's :meth:`~repro.progress.RunStatus.gauges` (cells,
-    completed, in-flight, queue depth, ETA, throughput).  Scrapeable by
-    any Prometheus-family collector mid-run.
+    cumulative pipeline counters (``cache.trace.hit``,
+    ``cache.graph.miss``, …) plus the active run's
+    :meth:`~repro.progress.RunStatus.gauges` (cells, completed,
+    in-flight, queue depth, ETA, throughput).  Scrapeable by any
+    Prometheus-family collector mid-run.
 
 ``GET /runs``
     JSON array of every registered run's

@@ -269,7 +269,7 @@ def run_giraph(
                     if until > sim.now:
                         log.block(handle, gc.resource_name, sim.now, until)
                         yield sim.timeout(until - sim.now)
-                eff = float(np.clip(eff_base + rng.uniform(-0.05, 0.05), 0.05, 1.0))
+                eff = min(max(eff_base + rng.uniform(-0.05, 0.05), 0.05), 1.0)
                 if truth is not None:
                     truth.record(handle.instance_id, sim.now, sim.now + dt, eff)
                 yield machine.work(dt, cpu_rate=eff)

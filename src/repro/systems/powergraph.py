@@ -209,7 +209,7 @@ def run_powergraph(
             # Giraph engine for why this drives Table II's ratio curve).
             eff_base = rng.uniform(cfg.cpu_efficiency_min, cfg.cpu_efficiency_max)
             for _ in range(n_chunks):
-                eff = float(np.clip(eff_base + rng.uniform(-0.04, 0.04), 0.05, 1.0))
+                eff = min(max(eff_base + rng.uniform(-0.04, 0.04), 0.05), 1.0)
                 if truth is not None:
                     truth.record(handle.instance_id, sim.now, sim.now + dt, eff)
                 yield machine.work(dt, cpu_rate=eff)

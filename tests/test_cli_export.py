@@ -192,8 +192,8 @@ class TestTracingCli:
         ) == 0
         counters = final_counters(read_trace_events(trace))
         # Cold run: every cell is a miss, none a hit.
-        assert counters.get("cache.miss", 0) > 0
-        assert counters.get("cache.hit", 0) == 0
+        assert counters.get("cache.trace.miss", 0) > 0
+        assert counters.get("cache.trace.hit", 0) == 0
 
     def test_stats_command_reads_trace_back(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -289,4 +289,4 @@ class TestStatsJson:
         assert main(["stats", str(trace), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         counters = {row[0]: row[1] for row in payload["counters"]["rows"]}
-        assert counters.get("cache.miss", 0) > 0
+        assert counters.get("cache.trace.miss", 0) > 0

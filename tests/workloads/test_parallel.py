@@ -291,7 +291,7 @@ class TestLayeredCache:
         assert totals["cache.graph.hit"] == 1.0
         assert totals["cache.trace.miss"] == 2.0
         assert totals["cache.trace.hit"] == 2.0
-        assert totals["cache.hit"] == 2.0  # historical counter still fed
+        assert "cache.hit" not in totals and "cache.miss" not in totals
 
     def test_warm_path_profiles_bit_identical_across_layers(self, tmp_path):
         """The layered warm path preserves the bit-identity guarantee."""

@@ -118,8 +118,8 @@ class TestMergedTraceStructure:
         warm, _ = run_grid(_cells(), jobs=2, cache_dir=tmp_path)
         tracer = obs.uninstall()
         totals = tracer.counter_totals()
-        assert totals["cache.miss"] == len(cold)
-        assert totals["cache.hit"] == len(warm)
+        assert totals["cache.trace.miss"] == len(cold)
+        assert totals["cache.trace.hit"] == len(warm)
 
     def test_untraced_parallel_run_ships_no_snapshots(self):
         results, _ = run_grid(_cells(), jobs=2)
