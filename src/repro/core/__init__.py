@@ -30,7 +30,7 @@ from .bottlenecks import (
     BottleneckReport,
     find_bottlenecks,
 )
-from .demand import DemandEntry, DemandEstimate, ResourceDemand, estimate_demand
+from .demand import DemandEstimate, ResourceDemand, estimate_demand
 from .baselines import BlockedTimeResult, blocked_time_analysis
 from .burstiness import BurstinessScore, analyze_burstiness, burstiness_of
 from .recommendations import Recommendation, recommend, render_recommendations
@@ -93,7 +93,6 @@ __all__ = [
     "BottleneckKind",
     "BottleneckReport",
     "find_bottlenecks",
-    "DemandEntry",
     "DemandEstimate",
     "ResourceDemand",
     "estimate_demand",

@@ -20,12 +20,14 @@ attributable instances plus an index, and expose hierarchical roll-up:
 the usage of an inner phase is its own direct usage plus that of all
 descendants (§III-B's upward propagation).
 
-The per-slice computation is fully vectorized over slices; Python loops run
-only over resources and demand entries.
+The per-slice computation is fully vectorized over slices and instances;
+Python loops run only over resources, reading each resource's demand matrix
+from :class:`~repro.core.demand.ResourceDemand`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,11 +92,11 @@ class AttributionResult:
         self.grid = grid
         self.trace = trace
         self.per_resource = per_resource
-        # instance_id -> {resource -> row}
-        self._index: dict[str, dict[str, int]] = {}
-        for rname, ra in per_resource.items():
-            for row, iid in enumerate(ra.instance_ids):
-                self._index.setdefault(iid, {})[rname] = row
+        # resource -> {instance_id -> row}
+        self._rows: dict[str, dict[str, int]] = {
+            rname: dict(zip(ra.instance_ids, range(len(ra.instance_ids))))
+            for rname, ra in per_resource.items()
+        }
 
     def resources(self) -> list[str]:
         """Names of the attributed resources."""
@@ -113,7 +115,7 @@ class AttributionResult:
         """Per-slice usage directly attributed to this instance (no roll-up)."""
         iid = instance.instance_id if isinstance(instance, PhaseInstance) else instance
         ra = self.per_resource[resource]
-        row = self._index.get(iid, {}).get(resource)
+        row = self._rows[resource].get(iid)
         if row is None:
             return np.zeros(self.grid.n_slices)
         return ra.usage[row]
@@ -140,7 +142,7 @@ class AttributionResult:
     def rows_of(self, instance_ids: Sequence[str], resource: str) -> np.ndarray:
         """Row of each instance in ``self[resource]``'s matrices (``-1`` where it has none)."""
         return np.fromiter(
-            (self._index.get(iid, {}).get(resource, -1) for iid in instance_ids),
+            map(self._rows.get(resource, {}).get, instance_ids, itertools.repeat(-1)),
             dtype=np.int64,
             count=len(instance_ids),
         )
@@ -149,7 +151,7 @@ class AttributionResult:
         """Per-slice estimated demand of this instance (no roll-up)."""
         iid = instance.instance_id if isinstance(instance, PhaseInstance) else instance
         ra = self.per_resource[resource]
-        row = self._index.get(iid, {}).get(resource)
+        row = self._rows[resource].get(iid)
         if row is None:
             return np.zeros(self.grid.n_slices)
         return ra.demand[row]
@@ -175,9 +177,7 @@ def _attribute(
     for name in upsampled.resources():
         rdemand = demand[name]
         consumption = upsampled[name].rate  # (n_slices,)
-        entries = rdemand.entries
-        n = len(entries)
-        if n == 0:
+        if not rdemand.instance_ids:
             per_resource[name] = ResourceAttribution(
                 resource=name,
                 capacity=rdemand.capacity,
@@ -189,8 +189,8 @@ def _attribute(
             )
             continue
 
-        dem = np.stack([e.demand() for e in entries])  # (n, n_slices)
-        exact_mask = np.array([e.is_exact for e in entries], dtype=bool)
+        dem = rdemand.demand  # (n, n_slices)
+        exact_mask = rdemand.is_exact
 
         usage = np.zeros_like(dem)
 
@@ -219,7 +219,7 @@ def _attribute(
         per_resource[name] = ResourceAttribution(
             resource=name,
             capacity=rdemand.capacity,
-            instance_ids=[e.instance.instance_id for e in entries],
+            instance_ids=rdemand.instance_ids,
             usage=usage,
             unattributed=remainder,
             demand=dem,

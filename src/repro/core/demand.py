@@ -20,55 +20,38 @@ measurements over slices) and by the per-phase attribution step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .resources import ResourceModel
 from .rules import ExactRule, NoneRule, RuleMatrix, VariableRule
 from .timeline import TimeGrid
-from .traces import ExecutionTrace, PhaseInstance
+from .traces import ExecutionTrace
 
-__all__ = ["DemandEntry", "ResourceDemand", "DemandEstimate", "estimate_demand"]
-
-
-@dataclass(frozen=True)
-class DemandEntry:
-    """One attributable phase instance's demand on one resource.
-
-    ``activity`` is the per-slice active fraction (in ``[0, 1]``);
-    for Exact rules ``magnitude`` is the absolute demand rate
-    (``proportion × capacity``), for Variable rules it is the relative
-    weight.
-    """
-
-    instance: PhaseInstance
-    is_exact: bool
-    magnitude: float
-    activity: np.ndarray
-
-    def demand(self) -> np.ndarray:
-        """Per-slice demand (absolute units for exact, weight for variable)."""
-        return self.magnitude * self.activity
+__all__ = ["ResourceDemand", "DemandEstimate", "estimate_demand"]
 
 
 @dataclass
 class ResourceDemand:
-    """Per-slice demand decomposition for a single consumable resource."""
+    """Per-slice demand decomposition for a single consumable resource.
+
+    Row ``i`` of ``demand`` is the per-slice demand of the attributable
+    instance ``instance_ids[i]``: ``magnitude[i]`` times its active
+    fraction.  For an Exact rule (``is_exact[i]``) the magnitude is the
+    absolute demand rate (``proportion × capacity``); for a Variable
+    rule it is the relative weight.  Rows follow the trace's insertion
+    order, and instances whose rule is :class:`NoneRule` have none.
+    """
 
     resource: str
     capacity: float
     exact_total: np.ndarray
     variable_total: np.ndarray
-    entries: list[DemandEntry] = field(default_factory=list)
-
-    @property
-    def exact_entries(self) -> list[DemandEntry]:
-        return [e for e in self.entries if e.is_exact]
-
-    @property
-    def variable_entries(self) -> list[DemandEntry]:
-        return [e for e in self.entries if not e.is_exact]
+    instance_ids: list[str]
+    magnitude: np.ndarray
+    is_exact: np.ndarray
+    demand: np.ndarray
 
     def total_estimated_demand(self) -> np.ndarray:
         """Exact demand plus variable weights expressed in resource units.
@@ -100,6 +83,22 @@ class DemandEstimate:
         return list(self.per_resource)
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """``0 + rows[0] + rows[1] + ...``, one slice at a time, in row order.
+
+    NumPy's ``sum(axis=0)`` over a C-contiguous matrix adds whole rows in
+    row order onto zeros.  With a single slice per row the reduction runs
+    along contiguous memory instead, where NumPy sums pairwise; that case
+    accumulates in order explicitly.
+    """
+    if rows.shape[1] != 1:
+        return rows.sum(axis=0)
+    total = np.zeros(1)
+    for row in rows:
+        total += row
+    return total
+
+
 def estimate_demand(
     trace: ExecutionTrace,
     resources: ResourceModel,
@@ -112,31 +111,36 @@ def estimate_demand(
     children, see :meth:`ExecutionTrace.attributable_instances`) generate
     demand; inner phases are covered by the roll-up of their descendants.
     The activity of every instance comes from one batched rasterization,
-    and each instance's rules from one per-call table
-    (:meth:`RuleMatrix.rule_table`); per-resource totals then accumulate
-    in instance order.
+    and each distinct rule row is resolved once
+    (:meth:`RuleMatrix.rule_rows`).  Per resource, the instances with a
+    rule form one matrix ``magnitude[:, None] * activity[rows]``; the
+    exact and variable totals add its exact and its variable rows in
+    instance order.
     """
-    attributable = trace.attributable_instances(grid)
-    table = rules.rule_table([inst for inst, _ in attributable], list(resources.consumable))
+    instances, activity = trace.attributable_activity(grid)
+    rows, row_of = rules.rule_rows(instances, list(resources.consumable))
+    row_of = np.asarray(row_of, dtype=np.int64)
+    ids = np.array([inst.instance_id for inst in instances], dtype=object)
     per_resource: dict[str, ResourceDemand] = {}
     for j, (name, res) in enumerate(resources.consumable.items()):
-        exact_total = np.zeros(grid.n_slices)
-        variable_total = np.zeros(grid.n_slices)
-        entries: list[DemandEntry] = []
-        for (inst, activity), rules_of_inst in zip(attributable, table):
-            rule = rules_of_inst[j]
-            if isinstance(rule, NoneRule):
-                continue
+        # Resolve each distinct rule row once: 0 = none, 1 = exact, 2 = variable.
+        kind = np.zeros(len(rows), dtype=np.int8)
+        magnitude_of_row = np.zeros(len(rows))
+        for r, row in enumerate(rows):
+            rule = row[j]
             if isinstance(rule, ExactRule):
-                magnitude = rule.proportion * res.capacity
-                entry = DemandEntry(inst, True, magnitude, activity)
-                exact_total += entry.demand()
+                kind[r], magnitude_of_row[r] = 1, rule.proportion * res.capacity
             elif isinstance(rule, VariableRule):
-                entry = DemandEntry(inst, False, rule.weight, activity)
-                variable_total += entry.demand()
-            else:  # pragma: no cover - defensive
+                kind[r], magnitude_of_row[r] = 2, rule.weight
+            elif not isinstance(rule, NoneRule):  # pragma: no cover - defensive
                 raise TypeError(f"unknown rule type {type(rule).__name__}")
-            entries.append(entry)
+        kinds = kind[row_of]
+        keep = np.flatnonzero(kinds != 0)
+        is_exact = kinds[keep] == 1
+        magnitude = magnitude_of_row[row_of[keep]]
+        demand = magnitude[:, None] * activity[keep]
+        exact_total = _sum_rows(demand[is_exact])
+        variable_total = _sum_rows(demand[~is_exact])
         # Known demand can never exceed capacity: concurrent Exact phases
         # whose proportions sum past 100% contend for the same resource.
         np.minimum(exact_total, res.capacity, out=exact_total)
@@ -145,6 +149,9 @@ def estimate_demand(
             capacity=res.capacity,
             exact_total=exact_total,
             variable_total=variable_total,
-            entries=entries,
+            instance_ids=ids[keep].tolist(),
+            magnitude=magnitude,
+            is_exact=is_exact,
+            demand=demand,
         )
     return DemandEstimate(grid=grid, per_resource=per_resource)

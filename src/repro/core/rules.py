@@ -138,26 +138,9 @@ class RuleMatrix:
         """Resolve the rule applying to ``instance`` on ``resource_name``.
 
         The last matching entry wins; with no match, the implicit rule
-        applies.
+        applies.  This is the 1 × 1 case of :meth:`rule_table`.
         """
-        attrs = {
-            "machine": instance.machine or "*",
-            "worker": instance.worker or "*",
-            "thread": instance.thread or "*",
-        }
-        chosen = self.implicit_rule
-        for entry in self._entries:
-            if not fnmatch.fnmatchcase(instance.phase_path, entry.phase_path):
-                continue
-            try:
-                pattern = entry.resource_pattern.format(**attrs)
-            except (KeyError, IndexError):
-                raise ValueError(
-                    f"unknown placeholder in resource pattern {entry.resource_pattern!r}"
-                ) from None
-            if fnmatch.fnmatchcase(resource_name, pattern):
-                chosen = entry.rule
-        return chosen
+        return self.rule_table([instance], [resource_name])[0][0]
 
     def rule_table(
         self, instances: Sequence["PhaseInstance"], resource_names: Sequence[str]
@@ -165,20 +148,80 @@ class RuleMatrix:
         """:meth:`rule_for` of every instance on every resource, as rows.
 
         ``table[i][j]`` is the rule for ``instances[i]`` on
-        ``resource_names[j]``.  A rule depends only on the instance's phase
-        path and location, so each distinct ``(phase path, machine, worker,
-        thread)`` is resolved once per call; the table lives only as long
-        as the call, so entries set later always apply to the next one.
+        ``resource_names[j]``; instances with the same phase path and
+        location share one row object.
         """
-        resolved: dict[tuple[str, str | None, str | None, str | None], list[Rule]] = {}
-        table = []
+        rows, row_of = self.rule_rows(instances, resource_names)
+        return [rows[r] for r in row_of]
+
+    def rule_rows(
+        self, instances: Sequence["PhaseInstance"], resource_names: Sequence[str]
+    ) -> tuple[list[list[Rule]], list[int]]:
+        """The distinct rows of :meth:`rule_table`, and each instance's row.
+
+        Returns ``(rows, row_of)`` with ``rule_table(...)[i] ==
+        rows[row_of[i]]``.  A rule depends only on the instance's phase
+        path and location, and the table is resolved by parts: each
+        distinct phase path is matched against every entry's path pattern
+        once, each matching entry's resource pattern is formatted once per
+        distinct ``(machine, worker, thread)``, and each formatted pattern
+        is matched against each resource name once.  An unknown
+        placeholder raises ``ValueError`` only for an entry whose path
+        matches some instance, first in instance order and then in entry
+        order, as the instance-at-a-time lookup would.  Everything lives
+        only for the call, so entries set later always apply to the next
+        one.
+        """
+        names = list(resource_names)
+        path_entries: dict[str, list[_RuleEntry]] = {}
+        patterns: dict[tuple[str, tuple[str, str, str]], str] = {}
+        hits: dict[str, list[bool]] = {}
+        row_index: dict[tuple[str, tuple[str, str, str]], int] = {}
+        rows: list[list[Rule]] = []
+        row_of: list[int] = []
         for inst in instances:
-            key = (inst.phase_path, inst.machine, inst.worker, inst.thread)
-            row = resolved.get(key)
-            if row is None:
-                row = resolved[key] = [self.rule_for(inst, name) for name in resource_names]
-            table.append(row)
-        return table
+            location = (inst.machine or "*", inst.worker or "*", inst.thread or "*")
+            key = (inst.phase_path, location)
+            r = row_index.get(key)
+            if r is None:
+                r = row_index[key] = len(rows)
+                entries = path_entries.get(inst.phase_path)
+                if entries is None:
+                    entries = path_entries[inst.phase_path] = [
+                        e
+                        for e in self._entries
+                        if fnmatch.fnmatchcase(inst.phase_path, e.phase_path)
+                    ]
+                # With no resource to look up, no pattern is ever formatted.
+                candidates = []  # (hits per resource, rule) of each matching entry
+                for entry in entries if names else ():
+                    pattern = patterns.get((entry.resource_pattern, location))
+                    if pattern is None:
+                        pattern = self._format(entry, location)
+                        patterns[(entry.resource_pattern, location)] = pattern
+                    if pattern not in hits:
+                        hits[pattern] = [fnmatch.fnmatchcase(name, pattern) for name in names]
+                    candidates.append((hits[pattern], entry.rule))
+                candidates.reverse()  # the last matching entry wins
+                rows.append(
+                    [
+                        next((rule for hit, rule in candidates if hit[j]), self.implicit_rule)
+                        for j in range(len(names))
+                    ]
+                )
+            row_of.append(r)
+        return rows, row_of
+
+    @staticmethod
+    def _format(entry: _RuleEntry, location: tuple[str, str, str]) -> str:
+        """``entry``'s resource pattern with the location placeholders filled in."""
+        machine, worker, thread = location
+        try:
+            return entry.resource_pattern.format(machine=machine, worker=worker, thread=thread)
+        except (KeyError, IndexError):
+            raise ValueError(
+                f"unknown placeholder in resource pattern {entry.resource_pattern!r}"
+            ) from None
 
     def __len__(self) -> int:
         return len(self._entries)

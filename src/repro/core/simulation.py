@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import obs
 from .phases import ExecutionModel
-from .traces import ExecutionTrace, PhaseInstance
+from .traces import ExecutionTrace, TraceColumns
 
 __all__ = [
     "SimulationError",
@@ -118,47 +118,37 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))] if values.size else values
 
 
-def _cross(
-    a_ptr: np.ndarray,
-    a_idx: np.ndarray,
-    b_ptr: np.ndarray,
-    b_idx: np.ndarray,
-    rows_a: list[int],
-    rows_b: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``(x, y)`` with ``x`` in CSR row ``rows_a[t]`` of A and ``y`` in
-    CSR row ``rows_b[t]`` of B, for every ``t``."""
-    rows_a = np.asarray(rows_a, dtype=np.int64)
-    rows_b = np.asarray(rows_b, dtype=np.int64)
-    na = a_ptr[rows_a + 1] - a_ptr[rows_a]
-    nb = b_ptr[rows_b + 1] - b_ptr[rows_b]
-    counts = na * nb
-    pair = np.repeat(np.arange(len(rows_a), dtype=np.int64), counts)
-    within = _ranges(np.zeros(len(rows_a), dtype=np.int64), counts)
-    width = nb[pair]
-    return (
-        a_idx[a_ptr[rows_a][pair] + within // width],
-        b_idx[b_ptr[rows_b][pair] + within % width],
-    )
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries that repeat the previous entry's key."""
+    return np.concatenate(([False], keys[1:] == keys[:-1])) if keys.size else keys.astype(bool)
 
 
 class ReplaySimulator:
     """Replays an execution trace with (optionally adjusted) phase durations.
 
-    The dependency graph is built once, on integer instance indices: each
+    The dependency graph is built once, from the trace's integer-coded
+    columns (:meth:`ExecutionTrace.columns`) with ``np.lexsort``: each
     instance-level relation (barrier predecessors, same-location chaining,
-    ``depends_on``) becomes a pair of an instance and a predecessor set
-    shared by all its successors, and the pairs expand to leaf × leaf
-    edges with ``np.repeat``.  The edges are compiled into level-scheduled
-    arrays (level = longest predecessor chain); a replay resolves each
-    level with one segment max (``np.maximum.reduceat``) over its
-    successor-sorted in-edges.  :meth:`simulate_many` replays any number
-    of what-if scenarios as the rows of one such pass, and
-    :meth:`simulate` is its one-scenario case.  Max and add are exact per
-    element, so every row equals its own replay bit for bit.  The
-    dict-based graph builder and the per-instance sweep this replicates
-    live in ``tests/core/oracles.py`` as the references they are checked
-    against.
+    ``depends_on``) becomes a predecessor *group* of leaves shared by the
+    successors attached to it.  A group of two or more leaves feeds each
+    successor leaf through one zero-duration *join* node instead of one
+    edge per member, so the graph grows with |preds| + |succs| rather than
+    their product.  Replay order is the leaves' time order, and a
+    successor only waits for predecessors earlier in it: a successor that
+    some member of a group does not precede takes direct edges from the
+    members that do.
+
+    The edges are compiled into level-scheduled arrays (a leaf's level is
+    its longest predecessor chain over leaves; a join takes the level of
+    its last member, so joins add no level).  A replay resolves each level
+    with one segment max (``np.maximum.reduceat``) over its leaves'
+    successor-sorted in-edges, then one more for the joins of that level.
+    :meth:`simulate_many` replays any number of what-if scenarios as the
+    rows of one such pass, and :meth:`simulate` is its one-scenario case.
+    Max and add are exact per element, so every row equals its own replay
+    bit for bit.  The dict-based graph builder and the per-instance sweep
+    this replicates live in ``tests/core/oracles.py`` as the references
+    they are checked against.
     """
 
     def __init__(self, trace: ExecutionTrace, model: ExecutionModel | None = None) -> None:
@@ -193,30 +183,86 @@ class ReplaySimulator:
                 preds.add(f"{prefix}/{pred_name}")
         return preds
 
+    def _predecessor_groups(
+        self, cols: TraceColumns, group: np.ndarray, sib: np.ndarray, g_ptr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Barrier predecessor sets of the sibling groups, and who waits on which.
+
+        Sibling group ``g`` holds instances ``sib[g_ptr[g]:g_ptr[g + 1]]``
+        and ``group`` maps each instance to its group.  Returns
+        ``(members, bounds, attach_set, attach_succ)``: set ``k`` holds
+        instances ``members[bounds[k]:bounds[k + 1]]``, and instance
+        ``attach_succ[t]`` waits for set ``attach_set[t]``.  A group's
+        predecessors are the instances of its predecessor types under the
+        same parent.  Locality: a per-machine phase waits only for the
+        same-machine predecessors (its own worker's pipeline); it waits for
+        all of them when it has no machine, or when no predecessor shares
+        its machine (global steps).
+        """
+        n_groups = g_ptr.size - 1
+        first = sib[g_ptr[:-1]]
+        g_parent, g_path = cols.parent[first].tolist(), cols.path[first].tolist()
+        group_of = {key: g for g, key in enumerate(zip(g_parent, g_path))}
+        path_code = {path: c for c, path in enumerate(cols.paths)}
+        pred_types: dict[tuple[int, int], list[int]] = {}
+        pairs: list[tuple[int, int]] = []  # (group, predecessor group)
+        for g, (p, t) in enumerate(zip(g_parent, g_path)):
+            parent_code = -1 if p < 0 else int(cols.path[p])
+            codes = pred_types.get((parent_code, t))
+            if codes is None:
+                types = self._sibling_predecessor_types(
+                    None if p < 0 else cols.paths[parent_code], cols.paths[t]
+                )
+                codes = pred_types[(parent_code, t)] = sorted(
+                    path_code[x] for x in types if x in path_code
+                )
+            pairs.extend((g, group_of[(p, c)]) for c in codes if (p, c) in group_of)
+        succ_g, pred_g = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        counts = g_ptr[pred_g + 1] - g_ptr[pred_g]
+        pred = sib[_ranges(g_ptr[pred_g], counts)]  # predecessors, by group
+        pred_group = np.repeat(succ_g, counts)
+
+        # One set per (group, machine) that has same-machine predecessors,
+        # then one per group holding all of its predecessors.
+        n_machines = int(cols.machine.max()) + 1 if cols.machine.size else 0
+        on_machine = cols.machine[pred] >= 0
+        local_key = (pred_group * n_machines + cols.machine[pred])[on_machine]
+        by_key = np.argsort(local_key, kind="stable")
+        local_key = local_key[by_key]
+        local_sets = local_key[~_runs(local_key)]
+        members = np.concatenate((pred[on_machine][by_key], pred))
+        bounds = np.concatenate(
+            (
+                np.searchsorted(local_key, local_sets),
+                local_key.size + np.searchsorted(pred_group, np.arange(n_groups + 1)),
+            )
+        )
+
+        # Every instance of a group with predecessors waits for one set.
+        has_pred = np.zeros(n_groups, dtype=bool)
+        has_pred[succ_g] = True
+        succ = np.flatnonzero(has_pred[group])
+        key = group[succ] * n_machines + cols.machine[succ]
+        at = np.minimum(np.searchsorted(local_sets, key), max(local_sets.size - 1, 0))
+        local = (cols.machine[succ] >= 0) & (local_sets.size > 0)
+        local[local] = local_sets[at[local]] == key[local]
+        attach_set = np.where(local, at, local_sets.size + group[succ])
+        return members, bounds, attach_set, succ
+
     def _build_dependencies(self) -> None:
         # Only leaf instances carry durations; parents are aggregates whose
         # precedence relations are projected onto their leaf descendants.
-        insts = self.trace.instances()
-        pos = {inst.instance_id: i for i, inst in enumerate(insts)}
-        parent = np.fromiter(
-            (-1 if inst.parent_id is None else pos[inst.parent_id] for inst in insts),
-            dtype=np.int64,
-            count=len(insts),
-        )
-        is_leaf = np.ones(len(insts), dtype=bool)
+        cols = self.trace.columns()
+        parent = cols.parent
+        is_leaf = np.ones(len(cols), dtype=bool)
         is_leaf[parent[parent >= 0]] = False
-
-        def by_time(i: int) -> tuple[float, float, str]:
-            inst = insts[i]
-            return (inst.t_start, inst.t_end, inst.instance_id)
-
-        order = sorted(np.flatnonzero(is_leaf).tolist(), key=by_time)
-        self._order: list[PhaseInstance] = [insts[i] for i in order]
-        n = len(order)
+        by_time = np.lexsort((cols.id_rank, cols.t_end, cols.t_start))
+        order = by_time[is_leaf[by_time]]
+        n = order.size
 
         # Leaf descendants of every instance as CSR rows (a leaf's row is
         # itself): walk each leaf's ancestor chain, then group by ancestor.
-        anc = np.asarray(order, dtype=np.int64)
+        anc = order
         leaf = np.arange(n, dtype=np.int64)
         ancs, leaves = [], []
         while anc.size:
@@ -228,198 +274,204 @@ class ReplaySimulator:
         anc = np.concatenate(ancs) if ancs else np.zeros(0, dtype=np.int64)
         by_anc = np.argsort(anc, kind="stable")
         leaf_idx = np.concatenate(leaves)[by_anc] if leaves else anc
-        leaf_ptr = np.searchsorted(anc[by_anc], np.arange(len(insts) + 1))
+        leaf_ptr = np.searchsorted(anc[by_anc], np.arange(len(cols) + 1))
 
-        # Instance-level relations.  A predecessor *set* (instance indices)
-        # is registered once and shared by every successor that uses it.
-        set_members: list[int] = []
-        set_bounds = [0]
-        set_rows: list[int] = []
-        set_succ: list[int] = []
-        chain_pred: list[int] = []
-        chain_succ: list[int] = []
+        # Sibling groups: the instances of one phase type under one parent,
+        # each group in time order.
+        sib = np.lexsort((cols.id_rank, cols.t_end, cols.t_start, cols.path, parent))
+        new_group = ~(_runs(parent[sib]) & _runs(cols.path[sib]))
+        group = np.empty(len(cols), dtype=np.int64)
+        group[sib] = np.cumsum(new_group) - 1
+        g_ptr = np.append(np.flatnonzero(new_group), len(cols))
 
-        def share(members: list[int]) -> int:
-            set_members.extend(members)
-            set_bounds.append(len(set_members))
-            return len(set_bounds) - 2
+        # Predecessor sets (instance indices) and the instances waiting on
+        # them: barrier sets, then same-location chaining (consecutive
+        # same-type instances on one machine/worker/thread replay in
+        # sequence; no task migration), then explicit ``depends_on`` sets
+        # (e.g. a dataflow stage DAG).
+        members, bounds, attach_set, attach_succ = self._predecessor_groups(cols, group, sib, g_ptr)
+        chain = np.lexsort((cols.id_rank, cols.t_end, cols.t_start, cols.location, group))
+        chained = (_runs(group[chain]) & _runs(cols.location[chain]))[1:]
+        chain_pred, chain_succ = chain[:-1][chained], chain[1:][chained]
+        n_sets = bounds.size - 1
+        members = np.concatenate((members, chain_pred, cols.depends_idx))
+        bounds = np.concatenate(
+            (
+                bounds,
+                bounds[-1] + np.arange(1, chain_pred.size + 1),
+                bounds[-1] + chain_pred.size + cols.depends_ptr[1:],
+            )
+        )
+        attach_set = np.concatenate(
+            (
+                attach_set,
+                n_sets + np.arange(chain_pred.size),
+                n_sets + chain_pred.size + np.arange(cols.depends_row.size),
+            )
+        )
+        attach_succ = np.concatenate((attach_succ, chain_succ, cols.depends_row))
 
-        by_parent: dict[str | None, dict[str, list[int]]] = {}
-        for i, inst in enumerate(insts):
-            by_parent.setdefault(inst.parent_id, {}).setdefault(inst.phase_path, []).append(i)
-        for parent_id, by_type in by_parent.items():
-            parent_path = None if parent_id is None else self.trace[parent_id].phase_path
-            for idxs in by_type.values():
-                idxs.sort(key=by_time)
-            for phase_path, idxs in by_type.items():
-                pred_types = self._sibling_predecessor_types(parent_path, phase_path)
-                preds = [p for t in pred_types for p in by_type.get(t, ())]
-                if preds:
-                    # Locality: a per-machine phase waits only for same-
-                    # machine predecessors (its own worker's pipeline); it
-                    # waits for all of them when it has no machine, or when
-                    # no predecessor shares its machine (global steps).
-                    local: dict[str | None, list[int]] = {}
-                    for p in preds:
-                        local.setdefault(insts[p].machine, []).append(p)
-                    shared: dict[str | None, int] = {}
-                    for i in idxs:
-                        machine = insts[i].machine
-                        key = machine if machine is not None and machine in local else None
-                        row = shared.get(key)
-                        if row is None:
-                            row = shared[key] = share(preds if key is None else local[key])
-                        set_rows.append(row)
-                        set_succ.append(i)
-                # Same-location sequencing (no task migration): consecutive
-                # same-type instances on the same machine/worker/thread chain
-                # up; instances on different locations replay concurrently.
-                last_on_key: dict[tuple[str | None, str | None, str | None], int] = {}
-                for i in idxs:
-                    inst = insts[i]
-                    key3 = (inst.machine, inst.worker, inst.thread)
-                    prev = last_on_key.get(key3)
-                    if prev is not None:
-                        chain_pred.append(prev)
-                        chain_succ.append(i)
-                    last_on_key[key3] = i
-
-        # Explicit instance-level dependencies (e.g. a dataflow stage DAG),
-        # projected onto leaf descendants like the structural ones.
-        for i, inst in enumerate(insts):
-            if inst.depends_on:
-                members = [pos[pid] for pid in inst.depends_on if pid in pos]
-                if members:
-                    set_rows.append(share(members))
-                    set_succ.append(i)
+        # Project onto leaves: sets become CSR rows of leaf positions, and
+        # every attachment pairs its set with each leaf of its successor.
+        counts = leaf_ptr[members + 1] - leaf_ptr[members]
+        set_leaf = leaf_idx[_ranges(leaf_ptr[members], counts)]
+        set_ptr = np.concatenate(([0], np.cumsum(counts)))[bounds]
+        size = np.diff(set_ptr)
+        counts = leaf_ptr[attach_succ + 1] - leaf_ptr[attach_succ]
+        pair_set = np.repeat(attach_set, counts)
+        pair_succ = leaf_idx[_ranges(leaf_ptr[attach_succ], counts)]
 
         # Global same-thread sequencing: a named execution thread (core) runs
         # one leaf at a time, even across different parents — concurrent
         # dataflow stages sharing executor cores serialize on them.  This is
         # the "scheduling constraints related to concurrency" of §III-F.
-        thread_pred: list[int] = []
-        thread_succ: list[int] = []
-        last_leaf_on_thread: dict[tuple[str, str | None, str], int] = {}
-        for k, inst in enumerate(self._order):
-            if inst.thread is None or inst.machine is None:
-                continue
-            key = (inst.machine, inst.worker, inst.thread)
-            prev_leaf = last_leaf_on_thread.get(key)
-            if prev_leaf is not None:
-                thread_pred.append(prev_leaf)
-                thread_succ.append(k)
-            last_leaf_on_thread[key] = k
-
-        # Project onto leaf pairs: predecessor sets become CSR rows of leaf
-        # positions, then every (set, successor) and (instance, successor)
-        # pair expands to the cross product of their leaves.
-        members = np.asarray(set_members, dtype=np.int64)
-        member_counts = leaf_ptr[members + 1] - leaf_ptr[members]
-        set_leaf = leaf_idx[_ranges(leaf_ptr[members], member_counts)]
-        set_ptr = np.concatenate(([0], np.cumsum(member_counts)))[np.asarray(set_bounds)]
-        set_pred, set_leaf_succ = _cross(set_ptr, set_leaf, leaf_ptr, leaf_idx, set_rows, set_succ)
-        chain_leaf_pred, chain_leaf_succ = _cross(
-            leaf_ptr, leaf_idx, leaf_ptr, leaf_idx, chain_pred, chain_succ
-        )
-        pred = np.concatenate((set_pred, chain_leaf_pred, np.asarray(thread_pred, dtype=np.int64)))
-        succ = np.concatenate(
-            (set_leaf_succ, chain_leaf_succ, np.asarray(thread_succ, dtype=np.int64))
-        )
+        on_thread = np.flatnonzero(cols.threaded[order])
+        on_thread = on_thread[np.argsort(cols.location[order[on_thread]], kind="stable")]
+        same_thread = _runs(cols.location[order[on_thread]])[1:]
+        thread_pred, thread_succ = on_thread[:-1][same_thread], on_thread[1:][same_thread]
+        # Kept for the critical path's predecessor lists.
+        self._groups = (set_ptr, set_leaf, pair_set, pair_succ, thread_pred, thread_succ)
+        self._pred_order: tuple[np.ndarray, np.ndarray] | None = None
 
         # The replay keeps an edge only when the predecessor precedes the
-        # successor in ``_order`` (the per-instance sweep ignores a
-        # predecessor whose end time it has not computed yet).  Deduplicate
-        # by sorting int64 codes ``pred * n + succ``; the dropped backward
-        # edges are kept apart for the critical path's predecessor lists.
-        codes = pred * n + succ
+        # successor in the replay order (the per-instance sweep ignores a
+        # predecessor whose end time it has not computed yet).  A pair whose
+        # whole set of two or more leaves precedes the successor goes
+        # through the set's join; any other pair becomes direct edges from
+        # the members that precede the successor.  ``last`` is each set's
+        # last leaf in replay order; the sets of sibling groups without
+        # predecessors are empty and never attached, and the -1 pad keeps
+        # their segment starts in range.
+        last = np.maximum.reduceat(np.append(set_leaf, -1), set_ptr[:-1]) if size.size else size
+        joined = (size[pair_set] > 1) & (last[pair_set] < pair_succ)
+        direct_set, direct_succ = pair_set[~joined], pair_succ[~joined]
+        pred = np.concatenate(
+            (set_leaf[_ranges(set_ptr[direct_set], size[direct_set])], thread_pred)
+        )
+        succ = np.concatenate((np.repeat(direct_succ, size[direct_set]), thread_succ))
         forward = pred < succ
-        self._edge_codes = _distinct(codes[forward])
-        self._back_codes = _distinct(codes[~forward])
-        self._pred_order: tuple[np.ndarray, np.ndarray] | None = None
+        codes = _distinct(pred[forward] * n + succ[forward])
+        self._edges = (codes // max(n, 1), codes % max(n, 1))
+        join_sets = _distinct(pair_set[joined])
+        self._join_edges = (np.searchsorted(join_sets, pair_set[joined]), pair_succ[joined])
+        self._join_members = (
+            set_leaf[_ranges(set_ptr[join_sets], size[join_sets])],
+            np.repeat(np.arange(join_sets.size, dtype=np.int64), size[join_sets]),
+        )
+        self._n_joins = join_sets.size
 
         # The cheap per-node arrays are built eagerly; the level compilation
         # is deferred to the first replay.
-        self._ids = [inst.instance_id for inst in self._order]
+        self._ids = [cols.ids[i] for i in order.tolist()]
         self._idx = {iid: k for k, iid in enumerate(self._ids)}
-        self._is_wait = np.fromiter(
-            (inst.phase_path in self._wait_paths for inst in self._order), dtype=bool, count=n
-        )
-        base = np.fromiter((inst.duration for inst in self._order), dtype=np.float64, count=n)
+        self._id_rank = cols.id_rank[order]
+        waits = np.array([path in self._wait_paths for path in cols.paths], dtype=bool)
+        self._is_wait = waits[cols.path[order]]
+        base = cols.t_end[order] - cols.t_start[order]
         base[self._is_wait] = 0.0
         self._base_dur = base
-        self._levels: list[tuple[int, int, np.ndarray, np.ndarray]] | None = None
+        self._levels: list[tuple] | None = None
 
     def _compile_levels(self) -> None:
-        """Compile the forward edges into level-scheduled index arrays.
+        """Compile the graph into level-scheduled index arrays.
 
-        A node's *level* is the length of its longest predecessor chain;
-        within a level every start time can be resolved at once, because
-        all predecessor end times are already final.  The replay numbers
-        nodes level by level (``_perm`` maps that numbering to ``_order``),
-        so each level is one contiguous range of columns; every node past
-        level 0 has in-edges, so each level keeps the predecessors of its
-        in-edges, sorted by successor, and where each successor's segment
-        of them begins.
+        A leaf's *level* is the length of its longest predecessor chain
+        over leaves, and a join's is that of its last member; within a
+        level every leaf start can be resolved at once, because all
+        predecessor end times are already final, and then every join of
+        the level.  The replay numbers leaves level by level (``_perm``
+        maps that numbering to the replay order), then joins level by
+        level after all leaves, so each level is one contiguous range of
+        leaf columns and one of join columns.  Every leaf past level 0 has
+        in-edges and every join has members, so each level keeps its
+        leaves' in-edge predecessors, sorted by successor, its joins'
+        members, sorted by join, and where each segment begins.
         """
-        n = len(self._ids)
-        pred = self._edge_codes // max(n, 1)
-        succ = self._edge_codes % max(n, 1)
+        n, n_joins = len(self._ids), self._n_joins
+        pred, succ = self._edges
+        join, join_succ = self._join_edges
+        member, member_join = self._join_members
 
-        # Longest-chain levels via vectorized Kahn peeling: a node enters
-        # the frontier when its last predecessor is removed, i.e. at
-        # 1 + max(pred levels).  The codes are sorted by predecessor, so
-        # each node's out-edges are one contiguous run.
-        indeg = np.bincount(succ, minlength=n)
-        out_ptr = np.searchsorted(pred, np.arange(n + 1, dtype=np.int64))
-        level = np.zeros(n, dtype=np.int64)
+        # Longest-chain levels via vectorized Kahn peeling over one node
+        # numbering (leaves, then joins at n + join): a leaf enters the
+        # frontier when its last in-edge is removed, i.e. at 1 + max(pred
+        # levels); a join is ready once its last member is peeled, and
+        # takes that member's level.
+        src = np.concatenate((pred, member, n + join))
+        dst = np.concatenate((succ, n + member_join, join_succ))
+        indeg = np.bincount(dst, minlength=n + n_joins)
+        level = np.zeros(n + n_joins, dtype=np.int64)
+        peeling = np.zeros(n + n_joins, dtype=bool)
+
+        def peel(nodes: np.ndarray, depth: int) -> None:
+            level[nodes] = depth
+            indeg[nodes] = -1
+            peeling[nodes] = True
+            hit = dst[peeling[src]]  # the out-edges of ``nodes``
+            np.subtract(indeg, np.bincount(hit, minlength=n + n_joins), out=indeg)
+            peeling[nodes] = False
+
         depth = 0
-        frontier = np.flatnonzero(indeg == 0)
+        frontier = np.flatnonzero(indeg[:n] == 0)
         while frontier.size:
-            level[frontier] = depth
+            peel(frontier, depth)
+            ready = np.flatnonzero(indeg[n:] == 0)  # joins whose last member was peeled
+            if ready.size:
+                peel(n + ready, depth)
+            frontier = np.flatnonzero(indeg[:n] == 0)
             depth += 1
-            lo = out_ptr[frontier]
-            indeg -= np.bincount(succ[_ranges(lo, out_ptr[frontier + 1] - lo)], minlength=n)
-            indeg[frontier] = -1
-            frontier = np.flatnonzero(indeg == 0)
 
-        # Renumber level by level, then sort the edges by successor: each
-        # level's in-edges are one slice, one segment per successor.
-        self._perm = np.argsort(level, kind="stable")
-        self._rank = np.empty(n, dtype=np.int64)
-        self._rank[self._perm] = np.arange(n)
-        pred, succ = self._rank[pred], self._rank[succ]
-        by_succ = np.argsort(succ, kind="stable")
-        pred, succ = pred[by_succ], succ[by_succ]
-        node_bounds = np.searchsorted(level[self._perm], np.arange(depth + 1)).tolist()
-        edge_bounds = np.searchsorted(succ, node_bounds).tolist()
-        self._levels = [
-            (
-                node_bounds[d],
-                node_bounds[d + 1],
-                pred[edge_bounds[d] : edge_bounds[d + 1]],
-                np.searchsorted(
-                    succ[edge_bounds[d] : edge_bounds[d + 1]],
-                    np.arange(node_bounds[d], node_bounds[d + 1]),
-                ),
+        # Renumber level by level, leaves then joins, and sort the in-edges
+        # by successor and the members by join: each level's share is one
+        # slice of each, one segment per successor or join.
+        self._perm = np.argsort(level[:n], kind="stable")
+        join_perm = n + np.argsort(level[n:], kind="stable")
+        rank = np.empty(n + n_joins, dtype=np.int64)
+        rank[self._perm] = np.arange(n)
+        rank[join_perm] = np.arange(n, n + n_joins)
+        self._rank = rank[:n]
+        leaf_perm = self._perm
+        edge_src = np.concatenate((rank[pred], rank[n + join]))
+        edge_dst = np.concatenate((rank[succ], rank[join_succ]))
+        by_dst = np.argsort(edge_dst, kind="stable")
+        edge_src = edge_src[by_dst]
+        heads = np.searchsorted(edge_dst[by_dst], np.arange(n + 1))
+        member_dst = rank[n + member_join]
+        by_join = np.argsort(member_dst, kind="stable")
+        member_src = rank[member][by_join]
+        member_heads = np.searchsorted(member_dst[by_join], np.arange(n, n + n_joins + 1))
+        leaf_bounds = np.searchsorted(level[leaf_perm], np.arange(depth + 1)).tolist()
+        join_bounds = np.searchsorted(level[join_perm], np.arange(depth + 1)).tolist()
+        self._levels = []
+        for d in range(depth):
+            lo, hi = leaf_bounds[d], leaf_bounds[d + 1]
+            jlo, jhi = join_bounds[d], join_bounds[d + 1]
+            self._levels.append(
+                (
+                    lo, hi, edge_src[heads[lo] : heads[hi]], heads[lo:hi] - heads[lo],
+                    n + jlo, n + jhi, member_src[member_heads[jlo] : member_heads[jhi]],
+                    member_heads[jlo:jhi] - member_heads[jlo],
+                )
             )
-            for d in range(depth)
-        ]
 
     def _predecessor_ids(self, instance_id: str) -> list[str]:
         """One leaf's predecessor ids, unfiltered and sorted by id.
 
         These are all of the leaf's dependency-graph predecessors, including
-        those the replay drops for starting later in ``_order``.  Only
+        those the replay drops for starting later in the replay order, each
+        group's members listed one by one.  Only
         :func:`~repro.core.critical_path.critical_path` reads them, so the
-        successor-major ordering of the edge arrays is built on first use.
+        leaf pairs are expanded from the groups on first use.
         """
         n = len(self._ids)
         if self._pred_order is None:
-            codes = np.concatenate((self._edge_codes, self._back_codes))
+            set_ptr, set_leaf, pair_set, pair_succ, thread_pred, thread_succ = self._groups
+            size = np.diff(set_ptr)[pair_set]
+            pred = np.concatenate((set_leaf[_ranges(set_ptr[pair_set], size)], thread_pred))
+            succ = np.concatenate((np.repeat(pair_succ, size), thread_succ))
+            codes = _distinct(pred * n + succ)
             pred, succ = codes // max(n, 1), codes % max(n, 1)
-            rank = np.empty(n, dtype=np.int64)
-            rank[sorted(range(n), key=self._ids.__getitem__)] = np.arange(n)
-            by_succ = np.lexsort((rank[pred], succ))
+            by_succ = np.lexsort((self._id_rank[pred], succ))
             self._pred_order = (
                 np.searchsorted(succ[by_succ], np.arange(n + 1, dtype=np.int64)),
                 pred[by_succ],
@@ -490,21 +542,25 @@ class ReplaySimulator:
         """Start and end times of every leaf under each row of ``dur``.
 
         Rows are independent scenarios; each level is one contiguous range
-        of columns (leaves numbered level by level), and its segment max
-        runs along the leaf axis of every row at once.  The returned
-        columns follow that level numbering; ``_rank`` maps ``_order``
-        positions to it.
+        of leaf columns (leaves numbered level by level), and its segment
+        max runs along the leaf axis of every row at once, followed by one
+        for the level's join columns, which lie after all leaf columns.
+        The returned columns are the leaves' in that level numbering;
+        ``_rank`` maps replay-order positions to it.
         """
         if self._levels is None:
             self._compile_levels()
         dur = dur[:, self._perm]
+        n = dur.shape[1]
         start = np.zeros_like(dur)
-        end = np.zeros_like(dur)
-        for lo, hi, preds, heads in self._levels:
+        end = np.zeros((dur.shape[0], n + self._n_joins))
+        for lo, hi, preds, heads, jlo, jhi, members, join_heads in self._levels:
             if preds.size:
                 start[:, lo:hi] = np.maximum.reduceat(end.take(preds, axis=1), heads, axis=1)
             np.add(start[:, lo:hi], dur[:, lo:hi], out=end[:, lo:hi])
-        return start, end
+            if members.size:
+                end[:, jlo:jhi] = np.maximum.reduceat(end.take(members, axis=1), join_heads, axis=1)
+        return start, end[:, :n]
 
     def baseline(self) -> SimulationResult:
         """Replay with the recorded durations (the comparison baseline)."""

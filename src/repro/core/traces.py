@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .timeline import TimeGrid, rasterize_intervals, rasterize_rows
 __all__ = [
     "BlockingEvent",
     "PhaseInstance",
+    "TraceColumns",
     "ExecutionTrace",
     "ResourceMeasurement",
     "ResourceTrace",
@@ -158,6 +160,48 @@ class PhaseInstance:
     def add_blocking(self, resource: str, t_start: float, t_end: float) -> None:
         """Record a blocking interval on ``resource`` for this instance."""
         self.blocking.append(BlockingEvent(resource, t_start, t_end))
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in order of first appearance, and the
+    position of each value among them."""
+    distinct = list(dict.fromkeys(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
+@dataclass(frozen=True)
+class TraceColumns:
+    """An execution trace as arrays, one entry per instance in insertion order.
+
+    Strings become integer codes numbered by first appearance: ``path[i]``
+    indexes ``paths``; ``machine[i]`` codes the machine (``-1`` for
+    ``None``); ``location[i]`` codes the ``(machine, worker, thread)``
+    triple, with ``None`` a value like any other.  ``threaded[i]`` is true
+    when both machine and thread are set.  ``parent[i]`` is the parent's
+    index (``-1`` for a root) and ``id_rank[i]`` the rank of the instance
+    id in sorted order.  ``depends_row`` lists the instances with at least
+    one ``depends_on`` id in the trace; row ``k`` of the CSR pair
+    ``depends_ptr``/``depends_idx`` holds the indices of those ids, in
+    ``depends_on`` order.
+    """
+
+    ids: list[str]
+    paths: list[str]
+    path: np.ndarray
+    parent: np.ndarray
+    machine: np.ndarray
+    location: np.ndarray
+    threaded: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    id_rank: np.ndarray
+    depends_row: np.ndarray
+    depends_ptr: np.ndarray
+    depends_idx: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class ExecutionTrace:
@@ -290,6 +334,16 @@ class ExecutionTrace:
         roll-up of their descendants, so attributing to both a parent and
         its running child would double-count.  Only pairs with strictly
         positive activity somewhere are returned, in insertion order.
+        Each array is a row of :meth:`attributable_activity`'s matrix.
+        """
+        return list(zip(*self.attributable_activity(grid)))
+
+    def attributable_activity(self, grid: TimeGrid) -> tuple[list[PhaseInstance], np.ndarray]:
+        """The attributable instances and their activity as one matrix.
+
+        Returns the instances of :meth:`attributable_instances` and a
+        C-contiguous ``(n_instances, n_slices)`` matrix whose row ``i`` is
+        the active fraction of instance ``i``.
 
         Every instance's active intervals are rasterized in one batched
         sweep (:func:`~repro.core.timeline.rasterize_rows`); one
@@ -300,21 +354,30 @@ class ExecutionTrace:
         insts = list(self._instances.values())
         n = len(insts)
         if n == 0:
-            return []
+            return [], np.zeros((0, grid.n_slices))
         row_of = {inst.instance_id: r for r, inst in enumerate(insts)}
-        rows: list[int] = []
-        starts: list[float] = []
-        ends: list[float] = []
-        for r, inst in enumerate(insts):
-            for s, e in inst.active_intervals():
-                rows.append(r)
-                starts.append(s)
-                ends.append(e)
+        # An instance without blocking events is active over its whole
+        # (non-empty) interval; the others' intervals come from
+        # :meth:`PhaseInstance.active_intervals`, each row's in order.
+        t_start = np.fromiter((inst.t_start for inst in insts), np.float64, n)
+        t_end = np.fromiter((inst.t_end for inst in insts), np.float64, n)
+        blocked = [r for r, inst in enumerate(insts) if inst.blocking]
+        whole = t_end > t_start
+        whole[blocked] = False
+        rows = np.flatnonzero(whole)
+        b_rows: list[int] = []
+        b_starts: list[float] = []
+        b_ends: list[float] = []
+        for r in blocked:
+            for s, e in insts[r].active_intervals():
+                b_rows.append(r)
+                b_starts.append(s)
+                b_ends.append(e)
         raw = rasterize_rows(
             grid,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(starts, dtype=np.float64),
-            np.asarray(ends, dtype=np.float64),
+            np.concatenate((rows, np.asarray(b_rows, dtype=np.int64))),
+            np.concatenate((t_start[rows], np.asarray(b_starts, dtype=np.float64))),
+            np.concatenate((t_end[rows], np.asarray(b_ends, dtype=np.float64))),
             n,
         )
         parent = np.fromiter(
@@ -329,7 +392,60 @@ class ExecutionTrace:
             np.add.at(child_sum, parent[is_kid], raw[is_kid])
             has_child[parent[is_kid]] = True
         attr = np.where(has_child[:, None], np.clip(raw - child_sum, 0.0, 1.0), raw)
-        return [(insts[r], attr[r]) for r in np.flatnonzero((attr > 0.0).any(axis=1)).tolist()]
+        keep = np.flatnonzero((attr > 0.0).any(axis=1))
+        return [insts[r] for r in keep.tolist()], attr[keep]
+
+    def columns(self) -> TraceColumns:
+        """The trace as integer-coded columns (:class:`TraceColumns`).
+
+        Built fresh on every call, so it always reflects the instances as
+        they are now.
+        """
+        insts = list(self._instances.values())
+        ids = list(self._instances)
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        paths, path = _codes(list(map(attrgetter("phase_path"), insts)))
+        # Machine codes and the thread flag follow from each distinct location.
+        locations, location = _codes(list(map(attrgetter("machine", "worker", "thread"), insts)))
+        machines = [m for m in dict.fromkeys(m for m, _, _ in locations) if m is not None]
+        machine_code = dict(zip(machines, range(len(machines))))
+        machine_code[None] = -1
+        machine_of = np.array([machine_code[m] for m, _, _ in locations], dtype=np.int64)
+        threaded_of = np.array(
+            [m is not None and t is not None for m, _, t in locations], dtype=bool
+        )
+        id_rank = np.empty(n, dtype=np.int64)
+        id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        depends_row: list[int] = []
+        depends_idx: list[int] = []
+        depends_ptr = [0]
+        for r, inst in enumerate(insts):
+            if inst.depends_on:
+                members = [index[d] for d in inst.depends_on if d in index]
+                if members:
+                    depends_row.append(r)
+                    depends_idx.extend(members)
+                    depends_ptr.append(len(depends_idx))
+        return TraceColumns(
+            ids=ids,
+            paths=paths,
+            path=path,
+            parent=np.fromiter(
+                map(index.get, map(attrgetter("parent_id"), insts), itertools.repeat(-1)),
+                np.int64,
+                n,
+            ),
+            machine=machine_of[location],
+            location=location,
+            threaded=threaded_of[location],
+            t_start=np.fromiter(map(attrgetter("t_start"), insts), np.float64, n),
+            t_end=np.fromiter(map(attrgetter("t_end"), insts), np.float64, n),
+            id_rank=id_rank,
+            depends_row=np.array(depends_row, dtype=np.int64),
+            depends_ptr=np.array(depends_ptr, dtype=np.int64),
+            depends_idx=np.array(depends_idx, dtype=np.int64),
+        )
 
     def concurrent_groups(self) -> dict[tuple[str | None, str], list[PhaseInstance]]:
         """Group instances by (parent, phase type).

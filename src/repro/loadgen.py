@@ -39,7 +39,8 @@ Alongside the client-measured latencies, each reporting period scrapes
 latency (from the ``http_request_duration_seconds`` histogram) side by
 side, warning when client and server disagree by more than 10% — the
 signal that queueing happens *outside* the service (client pool, kernel
-accept queue) rather than inside it.
+accept queue) rather than inside it.  Both sides count the same
+submits: those the server accepted, live ones included.
 
 The result document (schema ``grade10-bench-serve/1``, seeded at
 ``BENCH_serve.json`` by ``make bench-serve``) mirrors its per-op summary
@@ -235,9 +236,11 @@ def _scrape_submit_stats(base_url: str, timeout: float = 10.0) -> tuple[int, flo
     """Server-measured ``POST /jobs`` latency off one ``/metrics`` scrape.
 
     Returns cumulative ``(count, sum_seconds)`` of the
-    ``http_request_duration_seconds`` histogram summed over every status
-    code of the ``POST /jobs`` route — the deltas between two scrapes
-    give the server-side mean for that interval.
+    ``http_request_duration_seconds`` histogram's ``code="202"`` series of
+    the ``POST /jobs`` route — the submits the server accepted, the same
+    op set as the client's accepted submits (:func:`_accepted_submits`).
+    The deltas between two scrapes give the server-side mean for that
+    interval.
     """
     text = _http_get(base_url, "/metrics", timeout=timeout)
     count, total = 0, 0.0
@@ -248,7 +251,7 @@ def _scrape_submit_stats(base_url: str, timeout: float = 10.0) -> tuple[int, flo
         if m is None:
             continue
         name, labels, value = m.groups()
-        if 'method="POST"' not in labels or 'route="/jobs"' not in labels:
+        if not all(x in labels for x in ('method="POST"', 'route="/jobs"', 'code="202"')):
             continue
         if name.endswith("_count"):
             count += int(float(value))
@@ -394,16 +397,32 @@ def render_period_table(period: Mapping[str, Any], period_s: float) -> str:
     return format_table(_TABLE_HEADERS, rows)
 
 
+def _accepted_submits(ops: Mapping[str, Any]) -> dict[str, Any]:
+    """Count and mean latency of every client submit the server accepted.
+
+    Those are the ``submit`` and ``submit_live`` ops together (both are
+    recorded only for a 202); the server side of the comparison is the
+    ``code="202"`` series of ``POST /jobs`` (:func:`_scrape_submit_stats`).
+    """
+    parts = [ops.get(op, {}) for op in ("submit", "submit_live")]
+    count = sum(part.get("count", 0) for part in parts)
+    if count == 0:
+        return {"count": 0}
+    total = sum(part["mean_s"] * part["count"] for part in parts if part.get("count", 0))
+    return {"count": count, "mean_s": total / count}
+
+
 def skew_warning(period: Mapping[str, Any]) -> str | None:
     """A warning line when client and server submit latency disagree.
 
-    Returns ``None`` while the two agree within
-    :data:`SKEW_WARN_THRESHOLD` (or either side is missing).  Large skew
-    means latency accrues outside the service — client thread pool,
-    kernel accept queue — and the client-measured numbers stop being a
-    statement about the server.
+    Compares the client's accepted submits, live ones included, with the
+    server's accepted ``POST /jobs``.  Returns ``None`` while the two
+    agree within :data:`SKEW_WARN_THRESHOLD` (or either side is missing).
+    Large skew means latency accrues outside the service — client thread
+    pool, kernel accept queue — and the client-measured numbers stop
+    being a statement about the server.
     """
-    client = period.get("ops", {}).get("submit", {})
+    client = _accepted_submits(period.get("ops", {}))
     server = period.get("server", {}).get("submit", {})
     if client.get("count", 0) == 0 or server.get("count", 0) == 0:
         return None
@@ -742,8 +761,8 @@ def run_loadgen(
                 "count": n,
                 "mean_s": max(end_sum - baseline[1], 0.0) / n,
             }
-            client = ops_summary.get("submit", {})
-            if client.get("count", 0) > 0 and server_submit["mean_s"] > 0.0:
+            client = _accepted_submits(ops_summary)
+            if client["count"] > 0 and server_submit["mean_s"] > 0.0:
                 skew = (
                     abs(client["mean_s"] - server_submit["mean_s"])
                     / server_submit["mean_s"]

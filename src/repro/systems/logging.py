@@ -131,17 +131,40 @@ class EventLog:
         return len(self.events)
 
 
-def write_jsonl(log: EventLog | Iterable[dict[str, Any]], path: str | Path | io.TextIOBase) -> None:
-    """Persist events as JSON lines."""
-    events = log.events if isinstance(log, EventLog) else log
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w") if own else path
+#: ``json.dumps(event, separators=(",", ":"))`` without building an
+#: encoder per event.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: ``json.loads`` minus its per-call checks; :func:`_decode_line` restores
+#: the one that matters for a stripped line.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)`` for a stripped, non-empty line.
+
+    A record that ends before the line does (``{} {}``) is rejected as
+    ``json.loads`` rejects it; any rejected line raises ``json.loads``'s
+    own :class:`json.JSONDecodeError`.
+    """
     try:
-        for event in events:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            fh.close()
+        event, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end == len(line):
+        return event
+    # ``json.loads`` rejects exactly these lines; let it raise its own error.
+    return json.loads(line)
+
+
+def write_jsonl(log: EventLog | Iterable[dict[str, Any]], path: str | Path | io.TextIOBase) -> None:
+    """Persist events as JSON lines (one shared encoder, one write)."""
+    events = log.events if isinstance(log, EventLog) else log
+    text = "".join([_encode(event) + "\n" for event in events])
+    if isinstance(path, (str, Path)):
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        path.write(text)
 
 
 class JsonlStream:
@@ -170,12 +193,7 @@ class JsonlStream:
         buf = self._tail + chunk
         lines = buf.split("\n")
         self._tail = lines.pop()  # "" when the chunk ended on a newline
-        events = []
-        for line in lines:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-        return events
+        return [_decode_line(line) for line in map(str.strip, lines) if line]
 
     def close(self) -> list[dict[str, Any]]:
         """Flush the buffer at end of stream.
@@ -189,7 +207,7 @@ class JsonlStream:
         if not tail:
             return []
         try:
-            return [json.loads(tail)]
+            return [_decode_line(tail)]
         except json.JSONDecodeError:
             return []
 

@@ -163,7 +163,7 @@ def load_run(
         resource_trace = read_monitoring_csv(directory / _MONITORING)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ArchiveCorruptError(f"run archive at {directory} is corrupt: {exc}") from exc
-    if not log.of_kind("phase_start"):
+    if not any(event["event"] == "phase_start" for event in log.events):
         raise ArchiveCorruptError(
             f"run archive at {directory} is corrupt: {_EVENTS} holds no phase events"
         )

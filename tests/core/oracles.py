@@ -3,8 +3,12 @@
 Each function here is the readable one-item-at-a-time form of a stage
 that ``repro.core`` runs as a batched array kernel:
 
+* :func:`rule_for` — one instance and one resource at a time, entry by
+  entry (``RuleMatrix.rule_table``, which resolves the table by parts,
+  §III-D1);
 * :func:`iter_attributable_instances` and :func:`estimate_demand` — one
-  phase instance at a time (``ExecutionTrace.attributable_instances`` and
+  phase instance at a time, one :class:`DemandEntry` per instance and
+  resource (``ExecutionTrace.attributable_instances`` and
   ``repro.core.demand.estimate_demand``, §III-D1);
 * :func:`_upsample`, :func:`_upsample_window` and :func:`_water_fill` —
   one measurement window at a time (``repro.core.upsample.upsample``,
@@ -17,7 +21,11 @@ that ``repro.core`` runs as a batched array kernel:
 * :func:`build_dependencies` and :class:`ScalarReplay` — the replay graph
   as per-leaf id sets, replayed one instance at a time in trace order
   (``ReplaySimulator``, its ``simulate``/``simulate_many`` and the
-  predecessor lists ``critical_path`` walks).
+  predecessor lists ``critical_path`` walks);
+* :func:`jsonl_events` and :func:`jsonl_text` — the archive's event log
+  one line and one event at a time, with ``json.loads`` and
+  ``json.dumps`` (``repro.systems.logging.JsonlStream`` and
+  ``write_jsonl``).
 
 The kernels replicate these functions' operation order, so the tests
 compare them with exact equality (``==`` / ``np.array_equal``), never
@@ -26,18 +34,21 @@ with a tolerance.
 
 from __future__ import annotations
 
+import fnmatch
+import json
 import weakref
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.attribution import AttributionResult
 from repro.core.bottlenecks import Bottleneck, BottleneckKind, BottleneckReport
-from repro.core.demand import DemandEntry, DemandEstimate, ResourceDemand
+from repro.core.demand import DemandEstimate, ResourceDemand
 from repro.core.issues import IssueReport, PerformanceIssue
 from repro.core.phases import ExecutionModel
 from repro.core.resources import ResourceModel
-from repro.core.rules import ExactRule, NoneRule, RuleMatrix, VariableRule
+from repro.core.rules import ExactRule, NoneRule, Rule, RuleMatrix, VariableRule
 from repro.core.simulation import ReplaySimulator, SimulationResult
 from repro.core.timeline import TimeGrid, interval_slice_overlap
 from repro.core.traces import ExecutionTrace, PhaseInstance, ResourceTrace
@@ -47,8 +58,54 @@ _EPS = 1e-12
 
 
 # --------------------------------------------------------------------------
-# Demand (§III-D1)
+# Rules and demand (§III-D1)
 # --------------------------------------------------------------------------
+
+
+def rule_for(rules: RuleMatrix, instance: PhaseInstance, resource_name: str) -> Rule:
+    """The rule applying to ``instance`` on ``resource_name``, entry by entry.
+
+    The last matching entry wins; with no match, the implicit rule
+    applies.
+    """
+    attrs = {
+        "machine": instance.machine or "*",
+        "worker": instance.worker or "*",
+        "thread": instance.thread or "*",
+    }
+    chosen = rules.implicit_rule
+    for entry in rules._entries:
+        if not fnmatch.fnmatchcase(instance.phase_path, entry.phase_path):
+            continue
+        try:
+            pattern = entry.resource_pattern.format(**attrs)
+        except (KeyError, IndexError):
+            raise ValueError(
+                f"unknown placeholder in resource pattern {entry.resource_pattern!r}"
+            ) from None
+        if fnmatch.fnmatchcase(resource_name, pattern):
+            chosen = entry.rule
+    return chosen
+
+
+@dataclass(frozen=True)
+class DemandEntry:
+    """One attributable phase instance's demand on one resource.
+
+    ``activity`` is the per-slice active fraction (in ``[0, 1]``);
+    for Exact rules ``magnitude`` is the absolute demand rate
+    (``proportion × capacity``), for Variable rules it is the relative
+    weight.
+    """
+
+    instance: PhaseInstance
+    is_exact: bool
+    magnitude: float
+    activity: np.ndarray
+
+    def demand(self) -> np.ndarray:
+        """Per-slice demand (absolute units for exact, weight for variable)."""
+        return self.magnitude * self.activity
 
 
 def iter_attributable_instances(trace: ExecutionTrace, grid: TimeGrid):
@@ -107,44 +164,50 @@ def estimate_demand(
 ) -> DemandEstimate:
     """Per-instance demand estimation (§III-D1).
 
-    Instances stream through one at a time — per-resource totals
-    accumulate in instance order without materializing the full
-    attributable list up front.
+    Instances stream through one at a time — each (instance, resource)
+    pair with a rule becomes one :class:`DemandEntry`, and per-resource
+    totals accumulate in instance order with ``+=``.  The entries are
+    then packed into the arrays :class:`ResourceDemand` carries.
     """
     consumable = resources.consumable
-    per_resource: dict[str, ResourceDemand] = {
-        name: ResourceDemand(
-            resource=name,
-            capacity=res.capacity,
-            exact_total=np.zeros(grid.n_slices),
-            variable_total=np.zeros(grid.n_slices),
-            entries=[],
-        )
-        for name, res in consumable.items()
+    entries: dict[str, list[DemandEntry]] = {name: [] for name in consumable}
+    totals = {
+        name: (np.zeros(grid.n_slices), np.zeros(grid.n_slices)) for name in consumable
     }
     for inst, activity in iter_attributable_instances(trace, grid):
         for name, res in consumable.items():
-            rule = rules.rule_for(inst, name)
+            rule = rule_for(rules, inst, name)
             if isinstance(rule, NoneRule):
                 continue
-            rdemand = per_resource[name]
+            exact_total, variable_total = totals[name]
             if isinstance(rule, ExactRule):
                 magnitude = rule.proportion * res.capacity
                 entry = DemandEntry(inst, True, magnitude, activity)
-                rdemand.exact_total += entry.demand()
+                exact_total += entry.demand()
             elif isinstance(rule, VariableRule):
                 entry = DemandEntry(inst, False, rule.weight, activity)
-                rdemand.variable_total += entry.demand()
+                variable_total += entry.demand()
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown rule type {type(rule).__name__}")
-            rdemand.entries.append(entry)
+            entries[name].append(entry)
+    per_resource: dict[str, ResourceDemand] = {}
     for name, res in consumable.items():
+        exact_total, variable_total = totals[name]
         # Known demand can never exceed capacity: concurrent Exact phases
         # whose proportions sum past 100% contend for the same resource.
-        np.minimum(
-            per_resource[name].exact_total,
-            res.capacity,
-            out=per_resource[name].exact_total,
+        np.minimum(exact_total, res.capacity, out=exact_total)
+        es = entries[name]
+        per_resource[name] = ResourceDemand(
+            resource=name,
+            capacity=res.capacity,
+            exact_total=exact_total,
+            variable_total=variable_total,
+            instance_ids=[e.instance.instance_id for e in es],
+            magnitude=np.array([e.magnitude for e in es], dtype=np.float64),
+            is_exact=np.array([e.is_exact for e in es], dtype=bool),
+            demand=(
+                np.stack([e.demand() for e in es]) if es else np.zeros((0, grid.n_slices))
+            ),
         )
     return DemandEstimate(grid=grid, per_resource=per_resource)
 
@@ -687,3 +750,38 @@ def detect_issues(
         baseline_makespan=baseline,
         issues=[i for i in issues if i.improvement >= min_improvement],
     )
+
+
+# --------------------------------------------------------------------------
+# Archive event log (JSONL)
+# --------------------------------------------------------------------------
+
+
+def jsonl_events(text: str) -> tuple[list, str | None]:
+    """Events of a whole JSONL text, one ``json.loads`` per stripped line.
+
+    Returns the events decoded before the first malformed terminated line
+    and that line's error message (``None`` when there is none).  An
+    unterminated last line is kept only if it parses.
+    """
+    *lines, tail = text.split("\n")
+    events = []
+    for line in lines:
+        line = line.strip()
+        if line:
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                return events, str(exc)
+    tail = tail.strip()
+    if tail:
+        try:
+            events.append(json.loads(tail))
+        except json.JSONDecodeError:
+            pass
+    return events, None
+
+
+def jsonl_text(events) -> str:
+    """The JSONL text of ``events``: one ``json.dumps`` per event."""
+    return "".join(json.dumps(event, separators=(",", ":")) + "\n" for event in events)

@@ -44,7 +44,8 @@ from repro.core.outliers import find_outliers
 from repro.core.profile import PerformanceProfile
 from repro.core.simulation import ReplaySimulator
 from repro.core.timeline import TimeGrid
-from repro.core.traces import ExecutionTrace, ResourceTrace
+from repro.core.rules import ExactRule, NoneRule, VariableRule
+from repro.core.traces import ExecutionTrace, PhaseInstance, ResourceTrace
 from repro.core.upsample import UpsampledResource, UpsampledTrace, _water_fill_batch
 from repro.faults import FAULTS, apply_faults, fault_at
 from repro.workloads import WorkloadSpec, analysis_inputs, run_workload
@@ -76,11 +77,10 @@ def assert_demand_equal(kernel, oracle):
         assert k.capacity == o.capacity
         assert np.array_equal(k.exact_total, o.exact_total), name
         assert np.array_equal(k.variable_total, o.variable_total), name
-        assert [(e.instance.instance_id, e.is_exact, e.magnitude) for e in k.entries] == [
-            (e.instance.instance_id, e.is_exact, e.magnitude) for e in o.entries
-        ]
-        for ke, oe in zip(k.entries, o.entries):
-            assert np.array_equal(ke.activity, oe.activity), ke.instance.instance_id
+        assert k.instance_ids == o.instance_ids, name
+        for field in ("magnitude", "is_exact", "demand"):
+            assert getattr(k, field).dtype == getattr(o, field).dtype, (name, field)
+            assert np.array_equal(getattr(k, field), getattr(o, field)), (name, field)
 
 
 def assert_upsampled_equal(kernel, oracle):
@@ -164,14 +164,27 @@ def assert_replay_equal(trace, model, scenarios=None):
         assert makespan == fast.makespan == ref.makespan
 
 
+def implied_leaf_edges(sim):
+    """The leaf relation of ``sim``'s replay graph: its direct edges plus
+    one ``(member, successor)`` pair per member of each join it feeds."""
+    pred, succ = sim._edges
+    members = {}
+    for member, join in zip(*map(np.ndarray.tolist, sim._join_members)):
+        members.setdefault(join, []).append(member)
+    edges = set(zip(pred.tolist(), succ.tolist()))
+    for join, s in zip(*map(np.ndarray.tolist, sim._join_edges)):
+        edges.update((m, s) for m in members[join])
+    return edges
+
+
 def assert_replay_graph_equal(trace, model):
-    """Edges after the ``pred < succ`` filter, the id-sorted predecessor
-    lists and the critical path all equal the dict-based oracle's."""
+    """The leaf relation the graph implies (after the ``pred < succ``
+    filter), the id-sorted predecessor lists and the critical path all
+    equal the dict-based oracle's."""
     sim = ReplaySimulator(trace, model)
     ref = oracles.ScalarReplay(trace, model)
     assert sim._ids == [inst.instance_id for inst in ref.order]
-    n = len(sim._ids)
-    assert {divmod(int(code), n) for code in sim._edge_codes} == ref.forward_edges()
+    assert implied_leaf_edges(sim) == ref.forward_edges()
     for iid in sim._ids:
         assert sim._predecessor_ids(iid) == ref.preds[iid], iid
     path = critical_path(trace, model, simulator=sim)
@@ -190,7 +203,7 @@ def assert_reductions_equal(trace, report, upsampled, attribution, resources=Non
 def assert_rule_table_equal(rules, trace, resource_names):
     instances = trace.instances()
     assert rules.rule_table(instances, resource_names) == [
-        [rules.rule_for(inst, name) for name in resource_names] for inst in instances
+        [oracles.rule_for(rules, inst, name) for name in resource_names] for inst in instances
     ]
 
 
@@ -458,6 +471,7 @@ def replay_model() -> ExecutionModel:
     m.add_phase("/Execute/Step", repeatable=True)
     m.add_phase("/Execute/Step/Compute", concurrent=True)
     m.add_phase("/Execute/Step/Compute/Thread", concurrent=True)
+    m.add_phase("/Execute/Step/Send", after="Compute", concurrent=True)
     m.add_phase("/Execute/Step/Wait", after="Compute", wait=True)
     m.add_phase("/Execute/Step/Barrier", after="Wait")
     return m
@@ -473,7 +487,12 @@ _thread = st.sampled_from(["t0", "t1", None])
 def replay_cases(draw):
     """A trace (possibly empty, timings possibly out of order, with
     ``depends_on`` on inner, missing and own ids) plus override scenarios
-    over leaf, inner, wait-path and unknown ids, negative values included."""
+    over leaf, inner, wait-path and unknown ids, negative values included.
+
+    The Compute instances of a step (with their Thread leaves) form a
+    predecessor set shared by the step's Send instances and its Wait, and
+    start times are drawn independently, so some members of a shared set
+    often start after some of its successors."""
     trace = ExecutionTrace()
 
     def record(path, instance_id, **kw):
@@ -500,6 +519,11 @@ def replay_cases(draw):
                         "/Execute/Step/Compute/Thread", f"{iid}t{k}", parent=comp,
                         machine=comp.machine, thread=draw(_thread),
                     )
+            for k in range(draw(st.integers(0, 3))):
+                record(
+                    "/Execute/Step/Send", f"s{s}x{k}", parent=step,
+                    machine=draw(_machine), thread=draw(_thread),
+                )
             record("/Execute/Step/Wait", f"s{s}w", parent=step)
             record("/Execute/Step/Barrier", f"s{s}b", parent=step, machine=draw(_machine))
     ids = [i.instance_id for i in trace.instances()] + ["ghost"]
@@ -558,6 +582,56 @@ def reduction_cases(draw):
     return trace, report, upsampled, attribution if draw(st.booleans()) else None
 
 
+_rule_paths = ["/A", "/A/x", "/A/x/y", "/B", "/B/z"]
+_rule_locations = st.tuples(
+    st.sampled_from(["m0", "m1", "", None]),
+    st.sampled_from(["w0", None]),
+    st.sampled_from(["t0", "t1", None]),
+)
+
+
+@st.composite
+def rule_table_cases(draw):
+    """A rule matrix, instances and resource names for :meth:`RuleMatrix.rule_table`.
+
+    Path patterns overlap (``/*``, ``/A*``, ``/A/*`` ...) and entries
+    repeat cells, so later entries override earlier ones; resource
+    patterns use every placeholder, and locations include ``None`` and
+    ``""`` (both format as ``*``).  ``{bogus}`` is an unknown placeholder,
+    on a path that matches some instances or none (``/C``).
+    """
+    rules = RuleMatrix()
+    if draw(st.booleans()):
+        rules.set_default_rule(draw(st.sampled_from([NoneRule(), ExactRule(0.25)])))
+    entries = st.tuples(
+        st.sampled_from(["/*", "*", "/A", "/A*", "/A/*", "/A/x/?", "/[AB]", "/B*", "/C"]),
+        st.sampled_from(
+            ["*", "cpu@*", "cpu@{machine}", "net@{worker}", "disk@{thread}", "{machine}",
+             "*@{thread}", "cpu@m[01]", "x@{bogus}", "x@{machine[5]}"]
+        ),
+        st.sampled_from([NoneRule(), ExactRule(0.5), ExactRule(1.0), VariableRule(2.5)]),
+    )
+    for path, pattern, rule in draw(st.lists(entries, max_size=8)):
+        rules.set_rule(path, pattern, rule)
+    instances = [
+        PhaseInstance(f"i{k}", path, 0.0, 1.0, machine=m, worker=w, thread=t)
+        for k, (path, (m, w, t)) in enumerate(
+            draw(st.lists(st.tuples(st.sampled_from(_rule_paths), _rule_locations), max_size=10))
+        )
+    ]
+    names = draw(
+        st.lists(
+            st.sampled_from(
+                ["cpu@m0", "cpu@m1", "cpu@*", "net@w0", "net@*", "disk@t0", "disk@t1", "m0",
+                 "t1@t1", "x@m0"]
+            ),
+            unique=True,
+            max_size=6,
+        )
+    )
+    return rules, instances, names
+
+
 class TestReplayAndIssueKernels:
     """§III-F kernels against their oracles on generated inputs."""
 
@@ -572,6 +646,29 @@ class TestReplayAndIssueKernels:
     def test_replay_graph_equals_oracle(self, case):
         trace, model, _ = case
         assert_replay_graph_equal(trace, model)
+
+    def test_shared_set_joins_only_successors_it_wholly_precedes(self):
+        """Two Compute leaves feed two Send leaves: the Send that starts
+        after both waits through one join, the one that starts between
+        them gets a direct edge from the Compute before it."""
+        trace = ExecutionTrace()
+        ex = trace.record("/Execute", 0.0, 5.0, instance_id="exec")
+        step = trace.record("/Execute/Step", 0.0, 5.0, parent=ex, instance_id="s0")
+        # Distinct threads, so no same-location chaining adds edges.
+        for iid, t0, thread in (("c0", 0.0, "t0"), ("c1", 2.0, "t1")):
+            trace.record("/Execute/Step/Compute", t0, t0 + 1.0, parent=step,
+                         thread=thread, instance_id=iid)
+        for iid, t0, thread in (("x0", 1.0, "t2"), ("x1", 3.0, "t3")):
+            trace.record("/Execute/Step/Send", t0, t0 + 1.0, parent=step,
+                         thread=thread, instance_id=iid)
+        sim = ReplaySimulator(trace, replay_model())
+        pos = {iid: k for k, iid in enumerate(sim._ids)}
+        assert sim._n_joins == 1
+        assert list(zip(*map(np.ndarray.tolist, sim._join_edges))) == [(0, pos["x1"])]
+        assert sorted(sim._join_members[0].tolist()) == [pos["c0"], pos["c1"]]
+        assert list(zip(*map(np.ndarray.tolist, sim._edges))) == [(pos["c0"], pos["x0"])]
+        assert_replay_graph_equal(trace, replay_model())
+        assert_replay_equal(trace, replay_model(), [None, {"c1": 0.5}, {"c0": 4.0}])
 
     def test_empty_trace(self):
         sim = ReplaySimulator(ExecutionTrace(), None)
@@ -600,6 +697,38 @@ class TestReplayAndIssueKernels:
         names = [f"{kind}@{loc}" for kind in ("cpu", "net", "disk")
                  for loc in ("m0", "m1", "w0", "w1", "t0", "t1")]
         assert_rule_table_equal(rules, trace, names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_table_cases())
+    def test_rule_table_equals_rule_for_oracle(self, case):
+        """Overlapping path patterns, later entries overriding earlier ones,
+        placeholders over ``None`` locations, and unknown placeholders on
+        entries whose path matches no instance (no error) or some instance
+        (the same ``ValueError`` from both)."""
+        rules, instances, names = case
+        try:
+            expected = [[oracles.rule_for(rules, i, name) for name in names] for i in instances]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                rules.rule_table(instances, names)
+            assert str(raised.value) == str(exc)
+            return
+        assert rules.rule_table(instances, names) == expected
+        for inst, row in zip(instances, expected):
+            for name, rule in zip(names, row):
+                assert rules.rule_for(inst, name) == rule
+
+    def test_unknown_placeholder_raises_only_where_its_path_matches(self):
+        rules = RuleMatrix().set_exact("/A", "cpu@{machine}", 0.5).set_none("/Z", "x@{bogus}")
+        trace = ExecutionTrace()
+        trace.record("/A", 0.0, 1.0, machine="m0")
+        assert_rule_table_equal(rules, trace, ["cpu@m0", "x@m0"])
+        trace.record("/Z", 0.0, 1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            rules.rule_table(trace.instances(), ["cpu@m0"])
+        with pytest.raises(ValueError, match="bogus"):
+            oracles.rule_for(rules, trace.instances()[1], "cpu@m0")
+        assert rules.rule_table(trace.instances(), []) == [[], []]
 
     @settings(max_examples=200, deadline=None)
     @given(reduction_cases())

@@ -59,7 +59,8 @@ class TestEstimateDemand:
         rules = RuleMatrix().set_none("/P", "cpu")
         grid = TimeGrid(0.0, 1.0, 1)
         est = estimate_demand(trace, make_resources(), rules, grid)
-        assert est["cpu"].entries == []
+        assert est["cpu"].instance_ids == []
+        assert est["cpu"].demand.shape == (0, 1)
 
     def test_exact_total_capped_at_capacity(self):
         """Three concurrent phases each demanding 50% cannot demand 150%."""
@@ -79,8 +80,7 @@ class TestEstimateDemand:
         rules = RuleMatrix()  # implicit variable everywhere
         grid = TimeGrid(0.0, 1.0, 2)
         est = estimate_demand(trace, make_resources(), rules, grid)
-        ids = [e.instance.instance_id for e in est["cpu"].entries]
-        assert ids == ["child"]
+        assert est["cpu"].instance_ids == ["child"]
 
     def test_blocking_resources_not_in_estimate(self):
         trace = ExecutionTrace()

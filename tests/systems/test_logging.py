@@ -1,8 +1,11 @@
 """Tests for the structured JSONL event log."""
 
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.systems.logging import (
     EventLog,
@@ -11,6 +14,8 @@ from repro.systems.logging import (
     read_jsonl,
     write_jsonl,
 )
+
+from ..core import oracles
 
 
 class TestEventLog:
@@ -161,6 +166,86 @@ class TestJsonlStream:
         stream = JsonlStream()
         with pytest.raises(ValueError):
             stream.feed("not json\n")
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([-0.0, 0.0, 1e-300, -1e308, float("nan"), float("inf"), float("-inf")])
+    | st.floats()
+    | st.text(alphabet=st.characters(), max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_events = st.lists(st.dictionaries(st.text(max_size=6), _json_values, max_size=4), max_size=6)
+
+_RECORD = '{"event":"gc","machine":"m0","t":0,"t_end":1}'
+_lines = st.one_of(
+    _json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
+    st.sampled_from(
+        [
+            _RECORD,
+            "{} {}",
+            "\ufeff" + _RECORD,
+            "",
+            "  \t",
+            "\x0b",
+            "\x85",
+            "\x0b" + _RECORD + "\x85",
+            "\x85" + _RECORD + " \r",
+            '{"a":1',  # a record split across two lines ...
+            '"b":2}',  # ... and its second half
+            "not json",
+            "[1, 2] x",
+        ]
+    ),
+)
+
+
+class TestJsonlOracles:
+    """The shared decoder and encoder against per-line ``json.loads`` and
+    per-event ``json.dumps`` (``tests/core/oracles.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_lines, max_size=8),
+        st.booleans(),
+        st.lists(st.integers(0, 400), max_size=6),
+    )
+    def test_any_chunking_decodes_like_json_loads_per_line(self, lines, terminated, cuts):
+        text = "\n".join(lines) + ("\n" if terminated else "")
+        expected, error = oracles.jsonl_events(text)
+        bounds = sorted({min(c, len(text)) for c in cuts} | {0, len(text)})
+        stream = JsonlStream()
+        events = []
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                events.extend(stream.feed(text[lo:hi]))
+            events.extend(stream.close())
+        except json.JSONDecodeError as exc:
+            assert str(exc) == error  # the chunk's earlier events go with it
+        else:
+            assert error is None
+            assert json.dumps(events) == json.dumps(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_events)
+    def test_write_jsonl_matches_per_event_dumps(self, events):
+        buf = io.StringIO()
+        write_jsonl(events, buf)
+        assert buf.getvalue() == oracles.jsonl_text(events)
+
+    def test_record_split_across_lines_is_rejected(self):
+        with pytest.raises(json.JSONDecodeError, match="Expecting"):
+            JsonlStream().feed('{"a":1\n"b":2}\n')
+        with pytest.raises(json.JSONDecodeError, match="Extra data"):
+            JsonlStream().feed("{} {}\n")
 
 
 class TestIterJsonl:

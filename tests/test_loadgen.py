@@ -17,7 +17,7 @@ from repro.bench import (
     compare_bench_docs,
     validate_serve_bench_doc,
 )
-from repro.jobs import JobQueue, JobSpecError
+from repro.jobs import JobQueue, JobSpecError, QueueFullError
 from repro.loadgen import (
     LoadgenError,
     percentile,
@@ -423,6 +423,47 @@ class TestServerLatency:
         assert server["count"] == doc["ops"]["submit"]["count"]
         assert server["mean_s"] >= 0.0
         assert "skew_vs_client" in server
+
+    def test_skew_compares_accepted_submits_live_included(self):
+        """The client side of the skew is submit and submit_live together."""
+        period = {
+            "elapsed_s": 5.0,
+            "ops": {
+                "submit": {"count": 3, "mean_s": 0.010},
+                "submit_live": {"count": 1, "mean_s": 0.050},
+            },
+            "server": {"submit": {"count": 4, "mean_s": 0.020}},
+        }
+        assert skew_warning(period) is None  # client mean (3·10 + 50) / 4 = 20 ms
+        period["ops"]["submit_live"]["mean_s"] = 0.010
+        assert "50%" in skew_warning(period)
+
+    def test_server_and_client_count_the_same_submits(self):
+        """With live jobs and a 429 in the run, the server's accepted
+        POST /jobs count equals the client's accepted submits."""
+        rejected = []
+
+        class RejectOnce(JobQueue):
+            def submit(self, body, **kwargs):
+                if not rejected:
+                    rejected.append(True)
+                    raise QueueFullError(1.0)
+                return super().submit(body, **kwargs)
+
+        queue = RejectOnce(capacity=32, workers=2, executor=lambda job: None)
+        srv = TelemetryServer(port=0, heartbeat_s=0.05, queue=queue).start()
+        queue.start()
+        try:
+            doc = run_loadgen(srv.url, rate=20.0, duration_s=0.5, period_s=0.25, live_fraction=0.5)
+        finally:
+            queue.shutdown()
+            srv.stop()
+        assert doc["errors"]["rejected"] == 1
+        accepted = doc["ops"]["submit"]["count"] + doc["ops"]["submit_live"]["count"]
+        assert accepted == 9
+        assert doc["ops"]["submit_live"]["count"] > 0
+        assert doc["server"]["submit"]["count"] == accepted
+        assert "skew_vs_client" in doc["server"]["submit"]
 
     def test_server_latency_opt_out(self, live_service):
         doc = run_loadgen(
