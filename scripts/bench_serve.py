@@ -2,8 +2,10 @@
 """Seed/refresh ``BENCH_serve.json`` — the service-latency baseline.
 
 Boots ``repro serve --no-suite`` as a real subprocess (the job API with
-no local sweep), drives it with the open-loop generator from
-:mod:`repro.loadgen` for ``--duration`` seconds, writes the resulting
+no local sweep, over a fresh run cache), drives it with the open-loop
+generator from :mod:`repro.loadgen` for ``--duration`` seconds — every
+job, plain or live, characterizes the same tiny cell, warm after the
+first — writes the resulting
 ``grade10-bench-serve/1`` document, validates it, and shuts the server
 down with SIGTERM (clean drain required).
 
@@ -33,6 +35,12 @@ from repro.bench import validate_serve_bench_doc, write_bench_json  # noqa: E402
 from repro.loadgen import render_load_summary, run_loadgen  # noqa: E402
 
 
+#: Every job, plain or live, runs the same cell through the run cache
+#: and characterizes it, so ``e2e`` and ``e2e_live`` differ only by the
+#: live windows.
+SPEC = {"preset": "tiny", "characterize": True}
+
+
 def wait_for(predicate, what, deadline_s=60.0):
     """Poll ``predicate`` until truthy; SystemExit on timeout."""
     t0 = time.monotonic()
@@ -54,19 +62,21 @@ def main():
     parser.add_argument("--queue-size", type=int, default=32)
     parser.add_argument(
         "--live-fraction", type=float, default=0.25,
-        help="fraction of jobs submitted with live incremental analysis, "
+        help="fraction of jobs submitted live (streaming window frames), "
              "so the baseline captures its overhead envelope",
     )
     parser.add_argument("--out", default="BENCH_serve.json")
     args = parser.parse_args()
 
-    port_file = os.path.join(tempfile.mkdtemp(prefix="bench-serve-"), "port")
+    scratch = tempfile.mkdtemp(prefix="bench-serve-")
+    port_file = os.path.join(scratch, "port")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", "--no-suite",
-            "--port", "0", "--port-file", port_file, "--no-cache",
+            "--port", "0", "--port-file", port_file,
+            "--cache-dir", os.path.join(scratch, "cache"),
             "--queue-size", str(args.queue_size),
             "--workers", str(args.workers),
             "--heartbeat", "1.0",
@@ -85,6 +95,7 @@ def main():
             duration_s=args.duration,
             period_s=args.period,
             live_fraction=args.live_fraction,
+            spec=SPEC,
             echo=print,
         )
         print(render_load_summary(doc))

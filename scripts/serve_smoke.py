@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """End-to-end smoke test of ``repro serve`` (the CI ``serve-smoke`` job).
 
-Launches ``repro serve`` on a tiny suite as a real subprocess, then from
-the outside:
+Launches ``repro serve`` on a tiny suite as a real subprocess, with a
+fresh run cache, then from the outside:
 
 1. polls ``/healthz`` until the server is up;
 2. scrapes ``/metrics`` and validates the exposition with the
@@ -21,7 +21,12 @@ the outside:
    ``http.request`` span and the worker-side ``job.queued-wait`` /
    ``job.execute`` spans in one rooted tree with no dangling parents,
    and re-scrapes ``/metrics`` for the three latency histogram families;
-7. sends SIGTERM and requires a clean exit code 0.
+7. submits a ``"live": true`` job twice: each stream must carry
+   ``window.analyzed`` frames before ``run.finished``, the second must
+   be a run-cache hit (``cell.cache_hit``) with as many windows as the
+   first, and ``/runs/<id>/bottlenecks`` and ``/metrics`` must show the
+   live bottleneck state;
+8. sends SIGTERM and requires a clean exit code 0.
 
 Run from the repo root: ``python scripts/serve_smoke.py`` (or
 ``make serve-smoke``).
@@ -132,14 +137,16 @@ def read_sse_until(host, port, event, deadline_s=DEADLINE_S, query="last_id=0"):
 
 
 def main():
-    port_file = os.path.join(tempfile.mkdtemp(prefix="serve-smoke-"), "port")
+    scratch = tempfile.mkdtemp(prefix="serve-smoke-")
+    port_file = os.path.join(scratch, "port")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--preset", "tiny", "--systems", "giraph", "--jobs", "2",
-            "--port", "0", "--port-file", port_file, "--no-cache",
+            "--port", "0", "--port-file", port_file,
+            "--cache-dir", os.path.join(scratch, "cache"),
         ],
         cwd=REPO_ROOT,
         env=env,
@@ -184,8 +191,10 @@ def main():
 
         trace_id = obs.new_trace_id()
         traceparent = obs.format_traceparent(trace_id, obs.new_span_id())
+        # "cache": false keeps this job cold (the suite above may have
+        # cached its cell), so its trace carries every pipeline stage.
         status, resp_headers, job = post_json(
-            base, "/jobs", {"preset": "tiny"},
+            base, "/jobs", {"preset": "tiny", "cache": False},
             headers={"traceparent": traceparent},
         )
         assert status == 202, f"expected 202 from POST /jobs, got {status}"
@@ -232,31 +241,41 @@ def main():
         assert execute_counts >= 1, "no job execution observed in /metrics"
         print("serve-smoke: latency histogram families conformant")
 
-        # Live incremental analysis: a "live": true job must stream
-        # window.analyzed frames *before* its terminal frame, expose its
-        # rolling state on /runs/<id>/bottlenecks, and populate the
-        # run_bottleneck_seconds_total counter family on /metrics.
-        status, _, live_job = post_json(
-            base, "/jobs", {"preset": "tiny", "live": True}
+        # Live windows: a "live": true job must stream window.analyzed
+        # frames *before* its terminal frame, expose its rolling state on
+        # /runs/<id>/bottlenecks, and populate the
+        # run_bottleneck_seconds_total counter family on /metrics.  The
+        # seed is one no earlier cell used, so the first live job
+        # simulates; the same spec again is a run-cache hit that streams
+        # the same windows.
+        live_spec = {"preset": "tiny", "live": True, "seed": 1}
+        window_counts = []
+        for attempt in ("cold", "warm"):
+            status, _, live_job = post_json(base, "/jobs", live_spec)
+            assert status == 202, f"expected 202 from live POST /jobs, got {status}"
+            live_id = live_job["id"]
+            frames = read_sse_until(
+                "127.0.0.1", port, "run.finished",
+                query=f"run={live_id}&last_id=0",
+            )
+            kinds = [f.get("event") for f in frames]
+            ids = [int(f["id"]) for f in frames]
+            assert ids == list(range(1, len(ids) + 1)), f"gappy live stream: {ids}"
+            assert "window.analyzed" in kinds, f"no window.analyzed frame: {kinds}"
+            assert kinds.index("window.analyzed") < kinds.index("run.finished"), (
+                "window.analyzed did not precede run.finished"
+            )
+            assert ("cell.cache_hit" in kinds) == (attempt == "warm"), (
+                f"{attempt} live job: cell.cache_hit {'missing' if attempt == 'warm' else 'present'}"
+            )
+            window_counts.append(kinds.count("window.analyzed"))
+            n_bottlenecks = kinds.count("bottleneck.detected")
+            print(f"serve-smoke: {attempt} live job {live_id} streamed "
+                  f"{window_counts[-1]} window.analyzed and {n_bottlenecks} "
+                  "bottleneck.detected frames before run.finished")
+        assert window_counts[0] == window_counts[1], (
+            f"warm live job streamed {window_counts[1]} windows, cold {window_counts[0]}"
         )
-        assert status == 202, f"expected 202 from live POST /jobs, got {status}"
-        live_id = live_job["id"]
-        frames = read_sse_until(
-            "127.0.0.1", port, "run.finished",
-            query=f"run={live_id}&last_id=0",
-        )
-        kinds = [f.get("event") for f in frames]
-        ids = [int(f["id"]) for f in frames]
-        assert ids == list(range(1, len(ids) + 1)), f"gappy live stream: {ids}"
-        assert "window.analyzed" in kinds, f"no window.analyzed frame: {kinds}"
-        assert kinds.index("window.analyzed") < kinds.index("run.finished"), (
-            "window.analyzed did not precede run.finished"
-        )
-        n_windows = kinds.count("window.analyzed")
-        n_bottlenecks = kinds.count("bottleneck.detected")
-        print(f"serve-smoke: live job {live_id} streamed {n_windows} "
-              f"window.analyzed and {n_bottlenecks} bottleneck.detected "
-              "frames mid-run")
 
         snapshot = json.loads(get(base, f"/runs/{live_id}/bottlenecks"))
         assert snapshot["windows_analyzed"] >= 1, snapshot

@@ -386,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_loadgen.add_argument(
         "--live-fraction", type=float, default=0.0, metavar="F",
-        help="fraction of arrivals submitted as live incremental-analysis "
-             "jobs, measured as separate submit_live/e2e_live ops "
+        help="fraction of arrivals submitted as live jobs (streaming "
+             "window frames), measured as separate submit_live/e2e_live ops "
              "(default: %(default)s)",
     )
     p_loadgen.add_argument(
@@ -616,7 +616,7 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
         rules,
         slice_duration=args.slice,
         include_gc_phases=not args.untuned,
-        window_slices=max(1, int(args.window / args.slice)),
+        window_slices=max(1, round(args.window / args.slice)),
         on_window=on_window,
     )
     monitoring = directory / "monitoring.csv"

@@ -59,6 +59,7 @@ from .incremental import (
     IncrementalProfile,
     LiveBottleneck,
     WindowSummary,
+    cut_windows,
 )
 from .report import render_report
 from .resources import BlockingResource, ConsumableResource, ResourceModel
@@ -154,6 +155,7 @@ __all__ = [
     "IncrementalProfile",
     "LiveBottleneck",
     "WindowSummary",
+    "cut_windows",
     "render_report",
     "BlockingResource",
     "ConsumableResource",

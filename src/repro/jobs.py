@@ -174,11 +174,11 @@ class JobSpec:
     characterize: bool = False
     jobs: int = 1
     cache: bool = True
-    #: Live incremental analysis: the executor streams each cell's event
-    #: log through :class:`repro.core.incremental.IncrementalProfile`,
-    #: publishing ``window.analyzed`` / ``bottleneck.detected`` events on
-    #: the job's status as windows seal.  Live cells always execute (the
-    #: run cache is bypassed — a replayed profile has no stream to watch).
+    #: Live windows: each cell is characterized, and its profile's
+    #: bottleneck report is published cut into windows
+    #: (:func:`repro.core.incremental.cut_windows`) as ``window.analyzed``
+    #: / ``bottleneck.detected`` events before ``cell.finished``.  Live
+    #: cells honour ``cache`` and ``jobs`` like any other.
     live: bool = False
 
     @property
@@ -204,7 +204,8 @@ class JobSpec:
                 WorkloadSpec(
                     system, dataset, algorithm, preset=self.preset, seed=self.seed
                 ),
-                characterize=self.characterize,
+                characterize=self.characterize or self.live,
+                live=self.live,
             )
             for system in self.systems
             for dataset, algorithm in self.grid
@@ -732,13 +733,9 @@ class JobQueue:
 
         Reuses the job's pre-registered status, so every progress event
         lands on the same gap-free event log clients started streaming at
-        submission time.  A ``"live": true`` spec takes the incremental
-        path instead: each cell executes inline and its event log is
-        streamed through an :class:`~repro.core.incremental.IncrementalProfile`.
+        submission time.  A ``"live": true`` job takes the same path; its
+        cells publish their windows before ``cell.finished``.
         """
-        if job.spec.live:
-            self.execute_live_job(job)
-            return
         from .parallel import run_grid
 
         run_grid(
@@ -747,104 +744,6 @@ class JobQueue:
             cache_dir=self.cache_dir if job.spec.cache else None,
             status=job.status,
         )
-
-    def execute_live_job(self, job: Job) -> None:
-        """Live executor: per-cell streaming ingest with windowed analysis.
-
-        Each cell runs inline; its finished event log is then re-fed in
-        raw text chunks through the incremental profiler — the same
-        decode → seal → analyze path a mid-run follower takes — so
-        ``window.analyzed`` and ``bottleneck.detected`` events land on
-        the job's gap-free status stream *before* the cell completes,
-        and the final profile is the batch pipeline's, bit for bit.
-        """
-        import io
-
-        from .adapters import merge_blocking_into_resource_trace
-        from .core.incremental import IncrementalProfile
-        from .progress import current_sink, publish, set_thread_sink
-        from .systems.logging import write_jsonl
-        from .workloads.runner import analysis_inputs, run_workload
-
-        previous_sink = set_thread_sink(job.status.record)
-        try:
-            for cell in job.spec.cells():
-                label = cell.spec.label
-                publish("cell.started", label)
-                t0 = time.perf_counter()
-                try:
-                    with obs.span("cell", label=label):
-                        run = run_workload(cell.spec)
-                        system_run = run.system_run
-                        model, resources, rules = analysis_inputs(system_run, tuned=True)
-                        resource_trace = system_run.recorder.sample(
-                            0.4, t_end=system_run.makespan
-                        )
-                        merge_blocking_into_resource_trace(system_run.log, resource_trace)
-                        # ~8 live windows per run regardless of preset.
-                        window_slices = max(1, int(system_run.makespan / 0.01 / 8))
-
-                        def on_window(s: Any, label: str = label) -> None:
-                            publish(
-                                "window.analyzed",
-                                label,
-                                index=s.index,
-                                t_start=s.t_start,
-                                t_end=s.t_end,
-                                n_rows=s.n_rows,
-                                n_bottlenecks=len(s.bottlenecks),
-                                lag_seconds=s.lag_seconds,
-                            )
-
-                        def on_bottleneck(b: Any, label: str = label) -> None:
-                            # publish() reserves the "kind" name for the
-                            # event kind, so the data dict (which carries
-                            # the *bottleneck* kind) goes through the sink
-                            # directly.
-                            sink = current_sink()
-                            if sink is None:
-                                return
-                            data = b.to_dict()
-                            data["seconds"] = b.duration
-                            try:
-                                sink(
-                                    ProgressEvent(
-                                        kind="bottleneck.detected", label=label, data=data
-                                    )
-                                )
-                            except Exception:
-                                pass
-
-                        inc = IncrementalProfile(
-                            model,
-                            resources,
-                            rules,
-                            include_gc_phases=True,
-                            window_slices=window_slices,
-                            on_window=on_window,
-                            on_bottleneck=on_bottleneck,
-                        )
-                        inc.feed_resource_trace(resource_trace)
-                        buf = io.StringIO()
-                        write_jsonl(system_run.log, buf)
-                        text = buf.getvalue()
-                        for i in range(0, len(text), 8192):
-                            inc.feed_text(text[i : i + 8192])
-                        profile = inc.finalize(resource_trace=resource_trace)
-                except Exception as exc:
-                    publish("cell.failed", label, error=repr(exc))
-                    _LOG.warning("live cell failed", label=label, error=repr(exc))
-                else:
-                    publish(
-                        "cell.finished",
-                        label,
-                        duration=time.perf_counter() - t0,
-                        cached=False,
-                        windows=inc.windows_analyzed,
-                        bottlenecks=len(profile.bottlenecks.bottlenecks),
-                    )
-        finally:
-            set_thread_sink(previous_sink)
 
     def _worker_loop(self) -> None:
         while True:

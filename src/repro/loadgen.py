@@ -22,9 +22,9 @@ Two operations are measured per job:
   without a terminal frame counts as ``incomplete``).
 
 With ``live_fraction > 0`` a deterministic fraction of arrivals submits
-the same spec with ``"live": true`` — the incremental-characterization
-path that streams ``window.analyzed`` / ``bottleneck.detected`` frames
-mid-run — and those jobs are measured as separate ``submit_live`` /
+the same spec with ``"live": true`` — each cell also streams its
+bottleneck report cut into ``window.analyzed`` / ``bottleneck.detected``
+frames — and those jobs are measured as separate ``submit_live`` /
 ``e2e_live`` ops.  Because both variants land in the mirrored
 ``systems`` section, ``BENCH_serve.json`` captures the live-analysis
 overhead envelope and ``bench --diff`` gates regressions in it.
@@ -91,7 +91,7 @@ DEFAULT_PERIOD_S = 5.0
 _OPS = ("submit", "e2e")
 
 #: Extra ops measured when ``live_fraction > 0`` (jobs submitted with
-#: ``"live": true``, exercising the incremental-characterization path).
+#: ``"live": true``, which also stream their cells' windows).
 _LIVE_OPS = ("submit_live", "e2e_live")
 
 #: Relative client-vs-server submit-latency disagreement that triggers a

@@ -99,6 +99,9 @@ _LOG = get_logger("repro.parallel")
 _MONITORING_INTERVAL = 0.4
 _GROUND_TRUTH_INTERVAL = 0.05
 
+#: About this many windows per live cell (:func:`_publish_windows`).
+_LIVE_WINDOWS = 8
+
 #: Per-layer completeness markers: a payload directory without its marker
 #: (a crashed writer) is treated as a miss.  The trace layer's marker is
 #: ``cell.json`` — the suite-level metrics the warm path replays.
@@ -221,13 +224,22 @@ def model_fingerprints(system: str, config: Any, *, tuned: bool = True) -> dict[
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One picklable unit of sweep work: a workload plus analysis options."""
+    """One picklable unit of sweep work: a workload plus analysis options.
+
+    ``live`` publishes the cell's bottleneck report cut into windows
+    before ``cell.finished``; it needs ``characterize``.
+    """
 
     spec: "WorkloadSpec"
     characterize: bool = False
     tuned: bool = True
     slice_duration: float = 0.01
     min_phase_duration: float = 0.05
+    live: bool = False
+
+    def __post_init__(self) -> None:
+        if self.live and not self.characterize:
+            raise ValueError("a live cell must be characterized")
 
     @property
     def label(self) -> str:
@@ -601,8 +613,11 @@ def execute_cell(
             inherited = obs.uninstall()
             local_tracer = obs.install()
     progress.publish("cell.started", cell.label, seed=cell.spec.seed)
+    live: dict[str, int] = {}
     try:
         result = _execute_cell(cell, cache_dir)
+        if cell.live:
+            live = _publish_windows(cell.label, result.profile)
     except BaseException as exc:
         progress.publish("cell.failed", cell.label, error=repr(exc))
         _LOG.warning("cell failed", label=cell.label, error=repr(exc))
@@ -620,6 +635,7 @@ def execute_cell(
         duration=result.duration,
         cached=result.cached,
         makespan=result.makespan,
+        **live,
     )
     _LOG.debug(
         "cell finished",
@@ -628,6 +644,33 @@ def execute_cell(
         cached=result.cached,
     )
     return result
+
+
+def _publish_windows(label: str, profile: "PerformanceProfile") -> dict[str, int]:
+    """Publish a live cell's windows: each one's bottleneck shares, then the window.
+
+    The width gives about :data:`_LIVE_WINDOWS` windows per run.  Returns
+    the counts ``cell.finished`` carries.
+    """
+    from .core.incremental import cut_windows
+
+    with obs.span("windows", label=label):
+        width = max(1, profile.grid.n_slices // _LIVE_WINDOWS)
+        windows = cut_windows(profile.bottlenecks, profile.execution_trace, width)
+        for w in windows:
+            for b in w.bottlenecks:
+                progress.publish("bottleneck.detected", label, **b.to_dict(), seconds=b.duration)
+            progress.publish(
+                "window.analyzed",
+                label,
+                index=w.index,
+                t_start=w.t_start,
+                t_end=w.t_end,
+                n_rows=w.n_rows,
+                n_bottlenecks=len(w.bottlenecks),
+                lag_seconds=w.lag_seconds,
+            )
+    return {"windows": len(windows), "bottlenecks": len(profile.bottlenecks)}
 
 
 def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:

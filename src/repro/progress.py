@@ -131,8 +131,13 @@ def current_sink() -> Callable[[ProgressEvent], None] | None:
     return local if local is not None else _SINK
 
 
-def publish(kind: str, label: str = "", **data: Any) -> None:
-    """Publish one progress event (no-op unless a sink is installed)."""
+def publish(kind: str, label: str = "", /, **data: Any) -> None:
+    """Publish one progress event (no-op unless a sink is installed).
+
+    ``kind`` and ``label`` are positional-only, so a payload may carry
+    keys of the same names (a ``bottleneck.detected`` payload has its own
+    ``kind``).
+    """
     sink = getattr(_TLS, "sink", None)
     if sink is None:
         sink = _SINK

@@ -240,9 +240,9 @@ def analysis_inputs(
 ):
     """The expert-model triple ``(execution model, resource model, rules)``.
 
-    One lookup shared by the batch path (:func:`characterize_run`), the
-    live job executor, and ``repro analyze --follow`` — anything that
-    needs the per-system models without re-running the selection logic.
+    One lookup shared by the batch path (:func:`characterize_run`) and
+    anything else that needs the per-system models without re-running
+    the selection logic.
     """
     system_run = run.system_run if isinstance(run, WorkloadRun) else run
     if isinstance(system_run, GiraphRun):

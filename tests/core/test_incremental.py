@@ -1,16 +1,19 @@
 """Differential suite for the streaming incremental profile.
 
-The headline invariant (module docstring of :mod:`repro.core.incremental`):
+The headline invariants (module docstring of :mod:`repro.core.incremental`):
 feeding a run's JSONL log in chunks of *any* size — one-event chunks,
 fixed byte chunks that split records mid-byte, a missing trailing
 newline — converges to an attribution/bottleneck output bit-identical to
-the one-shot batch pipeline, on all three golden systems.
+the one-shot batch pipeline, on all three golden systems; and the windows
+streamed before and at ``finalize()`` equal the batch report cut by slice
+range (:func:`~repro.core.incremental.cut_windows`).
 
-Alongside the differential checks: a Hypothesis property over arbitrary
+Alongside the differential checks: Hypothesis properties over arbitrary
 chunkings, fault parity over every shipped ``FaultSpec`` (degraded logs
 degrade gracefully mid-stream — never a raw crash — and finalize agrees
-with the batch path on the same perturbed archive), and unit coverage of
-the live plane's monotone counters.
+with the batch path on the same perturbed archive), the watermark's
+soundness on a Giraph log whose block records are out of time order, and
+unit coverage of the live counters.
 """
 
 import io
@@ -20,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adapters.parsing import merge_blocking_into_resource_trace
-from repro.core import IncrementalProfile, render_report
+from repro.core import IncrementalProfile, cut_windows, render_report
 from repro.faults import apply_faults, fault_at, fault_names
 from repro.systems.logging import write_jsonl
 from repro.workloads import WorkloadSpec, analysis_inputs, run_workload
@@ -204,8 +207,136 @@ class TestFaultParity:
             _assert_bit_identical(inc.finalize(), batch)
 
 
+def _windows_key(windows, slice_duration=0.01):
+    """Per window: index, bounds, row count, and each bottleneck's share.
+
+    A share is keyed ``(kind, instance_id, resource)`` and valued
+    ``(slices, seconds)``: the slice count of a saturation or exact-cap
+    share as an integer (its seconds are the count times the slice
+    width), ``None`` for a blocking share.
+    """
+    out = []
+    for w in windows:
+        shares = {
+            (b.kind, b.instance_id, b.resource): (
+                None if b.kind == "blocking" else round(b.duration / slice_duration),
+                b.duration,
+            )
+            for b in w.bottlenecks
+        }
+        assert len(shares) == len(w.bottlenecks), "a bottleneck listed twice in one window"
+        out.append((w.index, w.t_start, w.t_end, w.n_rows, shares))
+    return out
+
+
+def _golden_cell(system, interval):
+    """A golden cell's models, log text, monitoring and batch profile."""
+    key = (system, interval)
+    if key not in _golden_cell.cache:
+        sr = run_workload(WorkloadSpec(system, "graph500", "pr", preset="tiny")).system_run
+        buf = io.StringIO()
+        write_jsonl(sr.log, buf)
+        rt = sr.recorder.sample(interval, t_end=sr.makespan)
+        merge_blocking_into_resource_trace(sr.log, rt)
+        batch = characterize_run(sr, tuned=True, monitoring_interval=interval)
+        _golden_cell.cache[key] = (analysis_inputs(sr, tuned=True), buf.getvalue(), rt, batch)
+    return _golden_cell.cache[key]
+
+
+_golden_cell.cache = {}
+
+
+class TestWindowsEqualBatchCut:
+    """Streamed windows == the batch profile's report cut by slice range."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @settings(
+        max_examples=8, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_chunking(self, system, data):
+        interval = data.draw(st.sampled_from([0.01, 0.03, 0.4]), label="interval")
+        width = data.draw(st.integers(min_value=1, max_value=4), label="width")
+        sizes = data.draw(
+            st.lists(st.integers(min_value=1, max_value=2048), max_size=100)
+        )
+        (model, resources, rules), text, rt, batch = _golden_cell(system, interval)
+        windows = []
+        inc = IncrementalProfile(
+            model, resources, rules, include_gc_phases=True,
+            window_slices=width, on_window=windows.append,
+        )
+        inc.feed_resource_trace(rt)
+        cursor = 0
+        for size in sizes:
+            inc.feed_text(text[cursor:cursor + size])
+            cursor += size
+        inc.feed_text(text[cursor:])
+        inc.finalize(resource_trace=rt)
+        expected = cut_windows(batch.bottlenecks, batch.execution_trace, width)
+        assert _windows_key(windows) == _windows_key(expected)
+
+
+@pytest.fixture(scope="module")
+def giraph_small_streamed():
+    """giraph/graph500/pr small seed 1 fed event by event, one-slice windows.
+
+    Giraph writes a GC pause's ``block_end`` when the pause starts and a
+    queue stall's ``block_start`` when the stall ends, so its block
+    records are out of time order.  Every record that arrives with a
+    timestamp before the end of an already-sealed window is collected.
+    """
+    sr = run_workload(
+        WorkloadSpec("giraph", "graph500", "pr", preset="small", seed=1)
+    ).system_run
+    rt = sr.recorder.sample(MONITORING_INTERVAL, t_end=sr.makespan)
+    merge_blocking_into_resource_trace(sr.log, rt)
+    model, resources, rules = analysis_inputs(sr, tuned=True)
+    windows, behind = [], []
+    inc = IncrementalProfile(
+        model, resources, rules, include_gc_phases=True,
+        window_slices=1, on_window=windows.append,
+    )
+    inc.feed_resource_trace(rt)
+    for ev in sr.log.events:
+        if windows and ev["t"] < windows[-1].t_end:
+            behind.append(ev)
+        inc.feed([dict(ev)])
+    n_streamed = len(windows)
+    inc.finalize(resource_trace=rt)
+    batch = characterize_run(sr, tuned=True, monitoring_interval=MONITORING_INTERVAL)
+    return windows, n_streamed, behind, batch
+
+
+class TestGiraphSmallEventByEvent:
+    """The watermark holds on out-of-order block records; windows equal batch."""
+
+    def test_no_record_behind_a_sealed_window(self, giraph_small_streamed):
+        windows, n_streamed, behind, _ = giraph_small_streamed
+        assert n_streamed > len(windows) // 2, "too few windows sealed mid-stream"
+        assert behind == []
+
+    def test_windows_equal_batch_cut(self, giraph_small_streamed):
+        windows, _, _, batch = giraph_small_streamed
+        expected = cut_windows(batch.bottlenecks, batch.execution_trace, 1)
+        assert _windows_key(windows) == _windows_key(expected)
+
+    def test_shares_sum_to_batch_totals(self, giraph_small_streamed):
+        windows, _, _, batch = giraph_small_streamed
+        streamed, totals = {}, {}
+        for w in windows:
+            for b in w.bottlenecks:
+                key = (b.resource, b.kind)
+                streamed[key] = streamed.get(key, 0.0) + b.duration
+        for b in batch.bottlenecks:
+            key = (b.resource, b.kind.value)
+            totals[key] = totals.get(key, 0.0) + b.duration
+        assert streamed == pytest.approx(totals, rel=1e-9, abs=1e-12)
+
+
 class TestLivePlane:
-    """The advisory windowed analyzer: monotone counters, sane summaries."""
+    """Windows cut while streaming: monotone counters, sane summaries."""
 
     def _streamed(self, window_slices=2):
         sr, (model, resources, rules), text, _ = _prepared("giraph")

@@ -417,6 +417,93 @@ class TestJobQueue:
         assert done.status.snapshot()["windows_analyzed"] >= 1
 
 
+class TestLiveJobs:
+    """Live jobs run through run_grid: the run cache, ``jobs`` and the
+    batch report cut into windows."""
+
+    def test_warm_live_job_is_a_cache_hit_and_streams_the_batch_cut(self, tmp_path):
+        from repro.core.incremental import cut_windows
+        from repro.parallel import RunCache, cache_key, trace_key_material
+        from repro.workloads.archive import characterize_archive
+
+        spec = {"preset": "tiny", "live": True, "seed": 1}
+        with JobQueue(capacity=2, workers=1, cache_dir=tmp_path) as q:
+            first = _wait_terminal(q, q.submit(spec).id, timeout=60.0)
+            second = _wait_terminal(q, q.submit(spec).id, timeout=60.0)
+        assert first.state == second.state == "done"
+        cold = [e["kind"] for e in first.status.events_since(0)]
+        events = second.status.events_since(0)
+        kinds = [e["kind"] for e in events]
+        assert "cell.cache_hit" not in cold
+        assert kinds.index("cell.cache_hit") < kinds.index("window.analyzed")
+        assert kinds.count("window.analyzed") == cold.count("window.analyzed")
+        last_window = max(
+            i for i, k in enumerate(kinds) if k in ("window.analyzed", "bottleneck.detected")
+        )
+        assert last_window < kinds.index("cell.finished") < kinds.index("run.finished")
+
+        (cell,) = second.spec.cells()
+        payload = RunCache(tmp_path).path_for(cache_key(trace_key_material(cell)), "trace")
+        profile = characterize_archive(
+            payload,
+            slice_duration=cell.slice_duration,
+            tuned=cell.tuned,
+            min_phase_duration=cell.min_phase_duration,
+        )
+        width = max(1, profile.grid.n_slices // 8)  # about 8 windows per run
+        expected = cut_windows(profile.bottlenecks, profile.execution_trace, width)
+        assert [e["data"] for e in events if e["kind"] == "window.analyzed"] == [
+            {
+                "index": w.index,
+                "t_start": w.t_start,
+                "t_end": w.t_end,
+                "n_rows": w.n_rows,
+                "n_bottlenecks": len(w.bottlenecks),
+                "lag_seconds": w.lag_seconds,
+            }
+            for w in expected
+        ]
+        shares = [e["data"] for e in events if e["kind"] == "bottleneck.detected"]
+        assert shares == [
+            {**b.to_dict(), "seconds": b.duration} for w in expected for b in w.bottlenecks
+        ]
+        # Summed per (resource, kind), the shares are the report's totals.
+        streamed, totals = {}, {}
+        for data in shares:
+            key = (data["resource"], data["kind"])
+            streamed[key] = streamed.get(key, 0.0) + data["seconds"]
+        for b in profile.bottlenecks:
+            key = (b.resource, b.kind.value)
+            totals[key] = totals.get(key, 0.0) + b.duration
+        assert streamed == pytest.approx(totals, rel=1e-9, abs=1e-12)
+
+    def test_two_cell_live_job_streams_windows_through_the_pool(self, tmp_path):
+        import os
+
+        spec = {
+            "preset": "tiny",
+            "live": True,
+            "jobs": 2,
+            "grid": [["graph500", "pr"], ["datagen", "pr"]],
+        }
+        with JobQueue(capacity=2, workers=1, cache_dir=tmp_path) as q:
+            done = _wait_terminal(q, q.submit(spec).id, timeout=120.0)
+        assert done.state == "done"
+        events = done.status.events_since(0)
+        assert [e["id"] for e in events] == list(range(1, len(events) + 1))
+        assert events[-1]["kind"] == "run.finished"
+        for label in done.spec.labels():
+            mine = [e for e in events if e["label"] == label]
+            kinds = [e["kind"] for e in mine]
+            finished = kinds.index("cell.finished")
+            windows = [i for i, k in enumerate(kinds) if k == "window.analyzed"]
+            assert windows, f"{label}: no window.analyzed"
+            assert windows[-1] < finished
+            assert mine[finished]["data"]["windows"] == len(windows)
+            # Published in a pool worker, relayed by the progress queue.
+            assert os.getpid() not in {mine[i]["pid"] for i in windows}
+
+
 # ---------------------------------------------------------------------- #
 # Concurrency: racing submitters and cancellers
 # ---------------------------------------------------------------------- #

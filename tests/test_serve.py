@@ -70,7 +70,7 @@ def _request_json(server, method, path, doc=None, headers=None):
         return exc.code, exc.headers, json.loads(exc.read().decode())
 
 
-def _event(kind, label="", **data):
+def _event(kind, label="", /, **data):
     return ProgressEvent(kind=kind, label=label, data=data)
 
 
@@ -203,18 +203,16 @@ def _live_run(server):
     """Register a run and feed it one window plus two bottleneck events."""
     run = RunStatus(["a"])
     server.register(run)
-    # Built directly: the data payload's own "kind" key would collide
-    # with the helper's positional event-kind argument.
-    run.record(ProgressEvent(kind="bottleneck.detected", label="a", data={
-        "kind": "blocking", "resource": "queue@m0", "seconds": 0.25,
-        "instance_id": "/P#0", "phase_path": "/P", "duration": 0.25,
-        "window": 0,
-    }))
-    run.record(ProgressEvent(kind="bottleneck.detected", label="a", data={
-        "kind": "saturation", "resource": "cpu@m1", "seconds": 0.5,
-        "instance_id": "/P#1", "phase_path": "/P", "duration": 0.5,
-        "window": 0,
-    }))
+    run.record(_event(
+        "bottleneck.detected", "a",
+        kind="blocking", resource="queue@m0", seconds=0.25,
+        instance_id="/P#0", phase_path="/P", duration=0.25, window=0,
+    ))
+    run.record(_event(
+        "bottleneck.detected", "a",
+        kind="saturation", resource="cpu@m1", seconds=0.5,
+        instance_id="/P#1", phase_path="/P", duration=0.5, window=0,
+    ))
     run.record(_event(
         "window.analyzed", "a",
         index=0, t_start=0.0, t_end=0.64, n_rows=3,

@@ -49,6 +49,14 @@ class TestBus:
         assert event.data == {"duration": 1.5}
         assert event.pid > 0 and event.t > 0
 
+    def test_payload_may_carry_its_own_kind_and_label(self):
+        seen = []
+        progress.set_sink(seen.append)
+        progress.publish("bottleneck.detected", "a", kind="saturation", label="b")
+        (event,) = seen
+        assert (event.kind, event.label) == ("bottleneck.detected", "a")
+        assert event.data == {"kind": "saturation", "label": "b"}
+
     def test_set_sink_returns_previous(self):
         first = lambda e: None  # noqa: E731
         assert progress.set_sink(first) is None
