@@ -11,11 +11,11 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.adapters import parse_execution_trace
-from repro.adapters.sparklike_model import build_sparklike_models
 from repro.core import Grade10
 from repro.core.critical_path import critical_path
 from repro.systems.sparklike import etl_job, join_job, run_sparklike, wordcount_job
 from repro.viz import format_table
+from repro.workloads import analysis_inputs
 
 
 def run_extension():
@@ -23,7 +23,7 @@ def run_extension():
     results = {}
     for job_fn in (wordcount_job, join_job, etl_job):
         run = run_sparklike(job_fn(), seed=1)
-        model, resources, rules = build_sparklike_models(run)
+        model, resources, rules = analysis_inputs(run)
         trace = parse_execution_trace(run.log)
         rtrace = run.recorder.sample(0.4, t_end=run.makespan)
         g10 = Grade10(model, resources, rules, slice_duration=0.02, min_phase_duration=0.05)

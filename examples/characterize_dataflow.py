@@ -18,11 +18,11 @@ Run:  python examples/characterize_dataflow.py
 """
 
 from repro.adapters import parse_execution_trace
-from repro.adapters.sparklike_model import build_sparklike_models
 from repro.core import Grade10, render_report
 from repro.core.critical_path import critical_path
 from repro.systems.sparklike import join_job, run_sparklike
 from repro.viz import bar_chart, timeline
+from repro.workloads import analysis_inputs
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     run = run_sparklike(job, seed=1)
     print(f"  makespan {run.makespan:.2f}s\n")
 
-    model, resources, rules = build_sparklike_models(run)
+    model, resources, rules = analysis_inputs(run)
     trace = parse_execution_trace(run.log)
     rtrace = run.recorder.sample(0.4, t_end=run.makespan)
     g10 = Grade10(model, resources, rules, slice_duration=0.02, min_phase_duration=0.05)

@@ -2,11 +2,12 @@
 
 Parsers turn JSONL logs and monitoring CSVs into Grade10 traces; the
 model modules are the paper's "expert input": execution models, resource
-models, and tuned/untuned attribution rules for both engines.
+models, and tuned/untuned attribution rules for every engine;
+:func:`expert_models` is the one lookup that picks a deployment's models.
 """
 
+from .expert import RUN_SYSTEMS, expert_models
 from .giraph_model import (
-    build_giraph_models,
     giraph_execution_model,
     giraph_resource_model,
     giraph_tuned_rules,
@@ -18,21 +19,20 @@ from .parsing import (
     parse_execution_trace,
 )
 from .powergraph_model import (
-    build_powergraph_models,
     powergraph_execution_model,
     powergraph_resource_model,
     powergraph_tuned_rules,
     powergraph_untuned_rules,
 )
 from .sparklike_model import (
-    build_sparklike_models,
     sparklike_execution_model,
     sparklike_resource_model,
     sparklike_tuned_rules,
 )
 
 __all__ = [
-    "build_giraph_models",
+    "RUN_SYSTEMS",
+    "expert_models",
     "giraph_execution_model",
     "giraph_resource_model",
     "giraph_tuned_rules",
@@ -40,12 +40,10 @@ __all__ = [
     "GC_PHASE_PATH",
     "merge_blocking_into_resource_trace",
     "parse_execution_trace",
-    "build_powergraph_models",
     "powergraph_execution_model",
     "powergraph_resource_model",
     "powergraph_tuned_rules",
     "powergraph_untuned_rules",
-    "build_sparklike_models",
     "sparklike_execution_model",
     "sparklike_resource_model",
     "sparklike_tuned_rules",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..core.phases import ExecutionModel
 from ..core.resources import ResourceModel
 from ..core.rules import NoneRule, RuleMatrix
-from ..systems.giraph import GiraphConfig, GiraphRun
+from ..systems.giraph import GiraphConfig
 from .parsing import GC_PHASE_PATH
 
 __all__ = [
@@ -114,12 +114,3 @@ def giraph_tuned_rules(config: GiraphConfig) -> RuleMatrix:
 def giraph_untuned_rules() -> RuleMatrix:
     """No expert rules: the implicit Variable(1x) for every phase (§IV-B)."""
     return RuleMatrix()
-
-
-def build_giraph_models(run: GiraphRun) -> tuple[ExecutionModel, ResourceModel, RuleMatrix]:
-    """Convenience: all tuned inputs for one run's configuration."""
-    return (
-        giraph_execution_model(),
-        giraph_resource_model(run.config, run.machine_names),
-        giraph_tuned_rules(run.config),
-    )

@@ -13,14 +13,13 @@ from __future__ import annotations
 from ..core.phases import ExecutionModel
 from ..core.resources import ResourceModel
 from ..core.rules import NoneRule, RuleMatrix
-from ..systems.powergraph import PowerGraphConfig, PowerGraphRun
+from ..systems.powergraph import PowerGraphConfig
 
 __all__ = [
     "powergraph_execution_model",
     "powergraph_resource_model",
     "powergraph_tuned_rules",
     "powergraph_untuned_rules",
-    "build_powergraph_models",
 ]
 
 
@@ -83,14 +82,3 @@ def powergraph_tuned_rules(config: PowerGraphConfig) -> RuleMatrix:
 def powergraph_untuned_rules() -> RuleMatrix:
     """No expert rules: the implicit Variable(1x) for every phase."""
     return RuleMatrix()
-
-
-def build_powergraph_models(
-    run: PowerGraphRun,
-) -> tuple[ExecutionModel, ResourceModel, RuleMatrix]:
-    """Convenience: all tuned inputs for one run's configuration."""
-    return (
-        powergraph_execution_model(),
-        powergraph_resource_model(run.config, run.machine_names),
-        powergraph_tuned_rules(run.config),
-    )

@@ -11,13 +11,12 @@ from __future__ import annotations
 from ..core.phases import ExecutionModel
 from ..core.resources import ResourceModel
 from ..core.rules import NoneRule, RuleMatrix
-from ..systems.sparklike import SparkLikeConfig, SparkLikeRun
+from ..systems.sparklike import SparkLikeConfig
 
 __all__ = [
     "sparklike_execution_model",
     "sparklike_resource_model",
     "sparklike_tuned_rules",
-    "build_sparklike_models",
 ]
 
 
@@ -53,14 +52,3 @@ def sparklike_tuned_rules(config: SparkLikeConfig) -> RuleMatrix:
     rules.set_exact("/Job/Stage/Task", "cpu@{machine}", 1.0 / config.cores_per_machine)
     rules.set_variable("/Job/Stage/Shuffle", "net@{machine}", 1.0)
     return rules
-
-
-def build_sparklike_models(
-    run: SparkLikeRun,
-) -> tuple[ExecutionModel, ResourceModel, RuleMatrix]:
-    """All tuned inputs for one run's configuration."""
-    return (
-        sparklike_execution_model(),
-        sparklike_resource_model(run.config, run.machine_names),
-        sparklike_tuned_rules(run.config),
-    )

@@ -172,6 +172,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_UNTUNED_HELP = "use the untuned model: no attribution rules, no GC phases"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("dataset", choices=dataset_names())
     p_run.add_argument("algorithm", choices=sorted(ALGORITHMS))
     p_run.add_argument("--preset", default="small", choices=("tiny", "small", "full"))
-    p_run.add_argument("--untuned", action="store_true", help="use the untuned model")
+    p_run.add_argument("--untuned", action="store_true", help=_UNTUNED_HELP)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--json", metavar="PATH", help="export the profile summary as JSON")
     p_run.add_argument(
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="characterize an archived run directory")
     p_an.add_argument("directory")
-    p_an.add_argument("--untuned", action="store_true")
+    p_an.add_argument("--untuned", action="store_true", help=_UNTUNED_HELP)
     p_an.add_argument("--slice", type=float, default=0.01, help="timeslice duration (s)")
     p_an.add_argument(
         "--follow", action="store_true",
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--open", action="store_true", help="open the report in a browser"
     )
-    p_report.add_argument("--untuned", action="store_true")
+    p_report.add_argument("--untuned", action="store_true", help=_UNTUNED_HELP)
     p_report.add_argument("--slice", type=float, default=0.01, help="timeslice duration (s)")
     _add_output_options(p_report)
 
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="pipeline trace; exports its counters as a metric family too",
     )
-    p_metrics.add_argument("--untuned", action="store_true")
+    p_metrics.add_argument("--untuned", action="store_true", help=_UNTUNED_HELP)
     p_metrics.add_argument("--slice", type=float, default=0.01, help="timeslice duration (s)")
 
     p_bench = sub.add_parser(
@@ -579,6 +582,7 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
     from .cluster.monitor import read_monitoring_csv
     from .core.incremental import IncrementalProfile
     from .core.model_io import load_models
+    from .core.rules import RuleMatrix
     from .workloads.archive import ArchiveError, ArchiveNotFoundError
 
     directory = Path(args.directory)
@@ -591,6 +595,8 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         _LOG.error(f"error: cannot load models.json: {exc}")
         return 2
+    if args.untuned:
+        rules = RuleMatrix()
 
     rows: list[list[str]] = []
 

@@ -19,10 +19,9 @@ experiment drivers:
     :mod:`repro.workloads.archive`), keyed on the graph key plus the
     *trace-affecting* inputs only (system name + effective config,
     algorithm, preset, seed, tuned model fingerprints, archive sampling
-    parameters).  Downstream knobs — ``tuned``, ``characterize``,
-    ``slice_duration``, ``min_phase_duration``, fault specs applied later —
-    are excluded, so cells differing only in analysis options share one
-    simulated trace instead of re-simulating it.
+    parameters).  Downstream knobs — ``characterize``, ``live``, fault
+    specs applied later — are excluded, so cells differing only in
+    analysis options share one simulated trace instead of re-simulating it.
 
   Every layer uses the same publish discipline: write into a temp
   directory, mark completeness with the layer's marker file, then
@@ -38,9 +37,13 @@ Cache-key invariants (locked down by Hypothesis property tests):
 * **input-sensitive** — changing any field of the material (a config
   constant, the seed, a rule proportion, a model phase) changes the key.
 
-Profile equality across paths: when caching is enabled, *both* the cold
-and the warm path characterize from the archived payload, so a warm
-replay produces a bit-identical :class:`~repro.core.PerformanceProfile`.
+Profile equality across paths: a cold cell characterizes its run in
+memory (:func:`~repro.workloads.runner.characterize_run`) and only a
+trace-cache hit reads an archive
+(:func:`~repro.workloads.archive.characterize_archive`).  Both use the
+same expert models and defaults, and the archive's JSONL and
+monitoring-CSV round trips are exact, so cold and warm cells give
+bit-identical profiles; ``tests/workloads/test_one_path.py`` holds that.
 
 Workloads imports happen inside functions: this module is imported by
 :mod:`repro.workloads.experiments` / ``graphalytics`` at module load, so
@@ -59,7 +62,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -79,7 +82,6 @@ __all__ = [
     "RunCache",
     "cache_key",
     "canonical_json",
-    "cell_key_material",
     "derive_cell_seed",
     "execute_cell",
     "graph_key_material",
@@ -163,49 +165,23 @@ def _system_config(spec: "WorkloadSpec"):
     return SparkLikeConfig()
 
 
-def model_fingerprints(system: str, config: Any, *, tuned: bool = True) -> dict[str, str]:
-    """Content hashes of the expert models a cell's characterization uses.
+def model_fingerprints(system: str, config: Any) -> dict[str, str]:
+    """Content hashes of the tuned expert models a cell's archive stores.
 
     Any edit to an execution model's phase hierarchy, a resource model's
     capacities, or an attribution rule changes the fingerprint — and with
     it the cache key — which is exactly the invalidation rule the paper's
     "refine the model, re-analyze" workflow needs.
     """
-    from .adapters import (
-        giraph_execution_model,
-        giraph_resource_model,
-        giraph_tuned_rules,
-        giraph_untuned_rules,
-        powergraph_execution_model,
-        powergraph_resource_model,
-        powergraph_tuned_rules,
-        powergraph_untuned_rules,
-    )
-    from .adapters.sparklike_model import (
-        sparklike_execution_model,
-        sparklike_resource_model,
-        sparklike_tuned_rules,
-    )
+    from .adapters import expert_models
     from .core.model_io import (
         execution_model_to_dict,
         resource_model_to_dict,
         rules_to_dict,
     )
-    from .core.rules import RuleMatrix
 
     names = [f"m{i}" for i in range(config.n_machines)]
-    if system == "giraph":
-        model = giraph_execution_model()
-        resources = giraph_resource_model(config, names)
-        rules = giraph_tuned_rules(config) if tuned else giraph_untuned_rules()
-    elif system == "powergraph":
-        model = powergraph_execution_model()
-        resources = powergraph_resource_model(config, names)
-        rules = powergraph_tuned_rules(config) if tuned else powergraph_untuned_rules()
-    else:
-        model = sparklike_execution_model()
-        resources = sparklike_resource_model(config, names)
-        rules = sparklike_tuned_rules(config) if tuned else RuleMatrix()
+    model, resources, rules = expert_models(system, config, names)
 
     def h(doc: Mapping[str, Any]) -> str:
         return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
@@ -226,15 +202,14 @@ def model_fingerprints(system: str, config: Any, *, tuned: bool = True) -> dict[
 class CellSpec:
     """One picklable unit of sweep work: a workload plus analysis options.
 
-    ``live`` publishes the cell's bottleneck report cut into windows
-    before ``cell.finished``; it needs ``characterize``.
+    ``characterize`` runs the Grade10 pipeline with the tuned model and
+    the defaults ``repro run`` and ``repro analyze`` use.  ``live``
+    publishes the cell's bottleneck report cut into windows before
+    ``cell.finished``; it needs ``characterize``.
     """
 
     spec: "WorkloadSpec"
     characterize: bool = False
-    tuned: bool = True
-    slice_duration: float = 0.01
-    min_phase_duration: float = 0.05
     live: bool = False
 
     def __post_init__(self) -> None:
@@ -244,40 +219,6 @@ class CellSpec:
     @property
     def label(self) -> str:
         return self.spec.label
-
-
-def cell_key_material(cell: CellSpec) -> dict[str, Any]:
-    """The full input material identifying one cell (its complete identity).
-
-    Composition: dataset spec, system name + effective config (every
-    tunable constant, including the nested sync-bug config), algorithm,
-    seed, model/rule fingerprints, and the archive sampling parameters.
-    The analysis-side options (``characterize``/``slice_duration``/
-    ``min_phase_duration``) are deliberately **excluded**: they are applied
-    on top of the cached artifacts, so one payload serves every analysis
-    variant.
-
-    Storage no longer keys on this hash directly — payloads live under the
-    layered :func:`graph_key_material` / :func:`trace_key_material` keys,
-    which additionally drop ``tuned`` (the archive is independent of it) —
-    but it remains the stable identity of a cell for invalidation
-    reasoning and for external tooling.
-    """
-    spec = cell.spec
-    config = _system_config(spec)
-    return {
-        "format": CACHE_FORMAT_VERSION,
-        "dataset": {"name": spec.dataset, "preset": spec.preset},
-        "system": {"name": spec.system, "config": asdict(config)},
-        "algorithm": spec.algorithm,
-        "seed": spec.seed,
-        "models": model_fingerprints(spec.system, config, tuned=cell.tuned),
-        "tuned": cell.tuned,
-        "archive": {
-            "monitoring_interval": _MONITORING_INTERVAL,
-            "ground_truth_interval": _GROUND_TRUTH_INTERVAL,
-        },
-    }
 
 
 def graph_key_material(spec: "WorkloadSpec") -> dict[str, Any]:
@@ -311,9 +252,8 @@ def trace_key_material(cell: CellSpec) -> dict[str, Any]:
     iteration counts), seed, the *tuned* model fingerprints (the archive's
     ``models.json`` always stores the tuned models, whatever the analysis
     later selects), and the archive sampling parameters.  Downstream knobs
-    (``tuned``, ``characterize``, ``slice_duration``, ``min_phase_duration``)
-    are excluded: they are applied on top of the archived trace, so one
-    payload serves every analysis variant.
+    (``characterize``, ``live``) are excluded: they are applied on top of
+    the archived trace, so one payload serves every analysis variant.
     """
     spec = cell.spec
     config = _system_config(spec)
@@ -325,7 +265,7 @@ def trace_key_material(cell: CellSpec) -> dict[str, Any]:
         "algorithm": spec.algorithm,
         "preset": spec.preset,
         "seed": spec.seed,
-        "models": model_fingerprints(spec.system, config, tuned=True),
+        "models": model_fingerprints(spec.system, config),
         "archive": {
             "monitoring_interval": _MONITORING_INTERVAL,
             "ground_truth_interval": _GROUND_TRUTH_INTERVAL,
@@ -379,12 +319,6 @@ class EngineStats:
     graph_misses: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
-    # Live-telemetry snapshot (from the sweep's RunStatus).  After a
-    # completed run_grid() these settle to 0/0/0.0; a mid-run snapshot
-    # (repro serve) carries the live values.
-    in_flight: int = 0
-    queue_depth: int = 0
-    eta_s: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -414,8 +348,8 @@ class EngineStats:
     def to_dict(self) -> dict[str, Any]:
         """JSON-native form (embedded in suite report indexes).
 
-        The historical keys are stable for ``BENCH_pipeline.json`` and
-        suite-report consumers; the live-telemetry keys ride along.
+        The keys are stable for ``BENCH_pipeline.json`` and suite-report
+        consumers.
         """
         return {
             "n_cells": self.n_cells,
@@ -430,9 +364,6 @@ class EngineStats:
             "graph_misses": self.graph_misses,
             "trace_hits": self.trace_hits,
             "trace_misses": self.trace_misses,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
-            "eta_s": self.eta_s,
         }
 
 
@@ -579,17 +510,6 @@ def _load_graph_payload(directory: Path):
     return Graph(int(meta["n_vertices"]), edges[0], edges[1])
 
 
-def _characterize_payload(cell: CellSpec, directory: Path) -> "PerformanceProfile":
-    from .workloads.archive import characterize_archive
-
-    return characterize_archive(
-        directory,
-        slice_duration=cell.slice_duration,
-        tuned=cell.tuned,
-        min_phase_duration=cell.min_phase_duration,
-    )
-
-
 def execute_cell(
     cell: CellSpec,
     cache_dir: str | Path | None = None,
@@ -674,8 +594,8 @@ def _publish_windows(label: str, profile: "PerformanceProfile") -> dict[str, int
 
 
 def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
-    from .workloads.archive import save_run
-    from .workloads.runner import processing_time, run_workload
+    from .workloads.archive import characterize_archive, save_run
+    from .workloads.runner import characterize_run, processing_time, run_workload
 
     t0 = time.perf_counter()
     with obs.span("cell", label=cell.label, seed=cell.spec.seed):
@@ -687,7 +607,7 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
             progress.publish("cell.cache_hit", cell.label, key=key)
             meta = cache.load_meta(key, "trace")
             profile = (
-                _characterize_payload(cell, cache.path_for(key, "trace"))
+                characterize_archive(cache.path_for(key, "trace"))
                 if cell.characterize
                 else None
             )
@@ -737,7 +657,6 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
             "n_edges": int(run.graph.n_edges),
         }
 
-        profile = None
         if cache is not None:
             if graph_hit is False:
                 cache.store(
@@ -757,22 +676,11 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
 
             progress.publish("stage", cell.label, stage="archive")
             with obs.span("archive", label=cell.label):
-                payload = cache.store(key, write_payload, "trace")
-            # Characterize from the *payload*, not from memory: the warm path
-            # reads the same files, so cold and warm profiles are identical.
-            if cell.characterize:
-                progress.publish("stage", cell.label, stage="characterize")
-                profile = _characterize_payload(cell, payload)
-        elif cell.characterize:
+                cache.store(key, write_payload, "trace")
+        profile = None
+        if cell.characterize:
             progress.publish("stage", cell.label, stage="characterize")
-            from .workloads.runner import characterize_run
-
-            profile = characterize_run(
-                run,
-                tuned=cell.tuned,
-                slice_duration=cell.slice_duration,
-                min_phase_duration=cell.min_phase_duration,
-            )
+            profile = characterize_run(run, monitoring_interval=_MONITORING_INTERVAL)
 
         return CellResult(
             spec=cell.spec,
@@ -919,7 +827,6 @@ def run_grid(
                         tracer.ingest(r.trace)
     finally:
         status.finish()
-    gauges = status.gauges()
     stats = EngineStats(
         n_cells=len(results),
         executed=sum(1 for r in results if not r.cached),
@@ -931,9 +838,6 @@ def run_grid(
         graph_misses=sum(1 for r in results if r.graph_hit is False),
         trace_hits=sum(1 for r in results if r.trace_hit is True),
         trace_misses=sum(1 for r in results if r.trace_hit is False),
-        in_flight=int(gauges["run_in_flight"]),
-        queue_depth=int(gauges["run_queue_depth"]),
-        eta_s=float(gauges.get("run_eta_seconds", 0.0)),
     )
     _LOG.debug(
         "grid run finished",

@@ -15,7 +15,9 @@ module materializes that workflow for the simulated systems:
         meta.json           system, config snapshot, makespan
 
 * :func:`load_run` reads it back into the traces + models Grade10 needs;
-* :func:`characterize_archive` is the one-call offline analysis.
+* :func:`characterize_archive` is the one-call offline analysis.  It
+  gives the profile :func:`~repro.workloads.runner.characterize_run`
+  computes from the run in memory, bit for bit, tuned or untuned.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+from .. import obs
 from ..adapters import (
-    build_giraph_models,
-    build_powergraph_models,
+    RUN_SYSTEMS,
+    expert_models,
     merge_blocking_into_resource_trace,
     parse_execution_trace,
 )
 from ..cluster.monitor import read_monitoring_csv, write_monitoring_csv
 from ..core import Grade10, PerformanceProfile
 from ..core.model_io import load_models, save_models
+from ..core.rules import RuleMatrix
 from ..core.traces import ExecutionTrace, ResourceTrace
-from ..systems import GiraphRun, PowerGraphRun, read_jsonl, write_jsonl
-from ..systems.sparklike import SparkLikeRun
+from ..systems import read_jsonl, write_jsonl
 
 __all__ = [
     "ArchiveError",
@@ -59,15 +62,8 @@ GROUND_TRUTH_FILE = "ground_truth.csv"
 MODELS_FILE = "models.json"
 META_FILE = "meta.json"
 
-_EVENTS = EVENTS_FILE
-_MONITORING = MONITORING_FILE
-_GROUND_TRUTH = GROUND_TRUTH_FILE
-_MODELS = MODELS_FILE
-_META = META_FILE
-
 #: Files a readable archive must contain (ground truth is optional extra).
-REQUIRED_FILES = (_EVENTS, _MONITORING, _MODELS, _META)
-_REQUIRED = REQUIRED_FILES
+REQUIRED_FILES = (EVENTS_FILE, MONITORING_FILE, MODELS_FILE, META_FILE)
 
 
 class ArchiveError(Exception):
@@ -82,18 +78,6 @@ class ArchiveCorruptError(ArchiveError, ValueError):
     """The archive exists but its contents cannot be parsed or are truncated."""
 
 
-def _models_for(run) -> tuple:
-    if isinstance(run, GiraphRun):
-        return build_giraph_models(run)
-    if isinstance(run, PowerGraphRun):
-        return build_powergraph_models(run)
-    if isinstance(run, SparkLikeRun):
-        from ..adapters.sparklike_model import build_sparklike_models
-
-        return build_sparklike_models(run)
-    raise TypeError(f"unknown run type {type(run).__name__}")
-
-
 def save_run(
     run,
     directory: str | Path,
@@ -105,18 +89,20 @@ def save_run(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    write_jsonl(run.log, directory / _EVENTS)
+    write_jsonl(run.log, directory / EVENTS_FILE)
     write_monitoring_csv(
         run.recorder.sample(monitoring_interval, t_end=run.makespan),
-        directory / _MONITORING,
+        directory / MONITORING_FILE,
     )
     write_monitoring_csv(
         run.recorder.sample(ground_truth_interval, t_end=run.makespan),
-        directory / _GROUND_TRUTH,
+        directory / GROUND_TRUTH_FILE,
     )
-    model, resources, rules = _models_for(run)
+    model, resources, rules = expert_models(
+        RUN_SYSTEMS[type(run)], run.config, run.machine_names
+    )
     save_models(
-        directory / _MODELS,
+        directory / MODELS_FILE,
         execution_model=model,
         resource_model=resources,
         rules=rules,
@@ -131,7 +117,7 @@ def save_run(
         "ground_truth_interval": ground_truth_interval,
         "config": {k: v for k, v in config.items() if isinstance(v, (int, float, str, bool))},
     }
-    (directory / _META).write_text(json.dumps(meta, indent=2))
+    (directory / META_FILE).write_text(json.dumps(meta, indent=2))
     return directory
 
 
@@ -142,6 +128,9 @@ def load_run(
 ) -> tuple[ExecutionTrace, ResourceTrace, tuple, dict]:
     """Load an archived run: traces, (model, resources, rules), metadata.
 
+    ``tuned=False`` loads the untuned model: the archived execution and
+    resource models with the empty rule matrix, and no GC phases.
+
     Raises :class:`ArchiveNotFoundError` when the directory or any required
     file is absent, and :class:`ArchiveCorruptError` when a file exists but
     cannot be parsed (truncated writes, bad JSON).
@@ -149,24 +138,27 @@ def load_run(
     directory = Path(directory)
     if not directory.is_dir():
         raise ArchiveNotFoundError(f"run archive not found: {directory}")
-    missing = [name for name in _REQUIRED if not (directory / name).is_file()]
+    missing = [name for name in REQUIRED_FILES if not (directory / name).is_file()]
     if missing:
         raise ArchiveNotFoundError(
             f"run archive at {directory} is incomplete: missing {', '.join(missing)}"
         )
     try:
-        meta = json.loads((directory / _META).read_text())
-        # strict: an archive is a sealed write — a torn tail here is
-        # byte-level truncation, not a racing writer, and must surface.
-        log = read_jsonl(directory / _EVENTS, strict=True)
-        models = load_models(directory / _MODELS)
-        resource_trace = read_monitoring_csv(directory / _MONITORING)
+        with obs.span("load"):
+            meta = json.loads((directory / META_FILE).read_text())
+            # strict: an archive is a sealed write — a torn tail here is
+            # byte-level truncation, not a racing writer, and must surface.
+            log = read_jsonl(directory / EVENTS_FILE, strict=True)
+            models = load_models(directory / MODELS_FILE)
+            resource_trace = read_monitoring_csv(directory / MONITORING_FILE)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ArchiveCorruptError(f"run archive at {directory} is corrupt: {exc}") from exc
     if not any(event["event"] == "phase_start" for event in log.events):
         raise ArchiveCorruptError(
-            f"run archive at {directory} is corrupt: {_EVENTS} holds no phase events"
+            f"run archive at {directory} is corrupt: {EVENTS_FILE} holds no phase events"
         )
+    if not tuned:
+        models = (models[0], models[1], RuleMatrix())
     try:
         execution_trace = parse_execution_trace(
             log, include_blocking=True, include_gc_phases=tuned
@@ -186,7 +178,6 @@ def characterize_archive(
     *,
     slice_duration: float = 0.01,
     tuned: bool = True,
-    min_phase_duration: float | None = None,
 ) -> PerformanceProfile:
     """One-call offline analysis of an archived run."""
     execution_trace, resource_trace, (model, resources, rules), _ = load_run(
@@ -194,6 +185,5 @@ def characterize_archive(
     )
     if model is None or resources is None:
         raise ArchiveCorruptError(f"archive at {directory} has no models.json content")
-    kwargs = {} if min_phase_duration is None else {"min_phase_duration": min_phase_duration}
-    g10 = Grade10(model, resources, rules, slice_duration=slice_duration, **kwargs)
+    g10 = Grade10(model, resources, rules, slice_duration=slice_duration)
     return g10.characterize(execution_trace, resource_trace)

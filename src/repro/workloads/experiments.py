@@ -26,16 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adapters import (
-    giraph_execution_model,
-    giraph_resource_model,
-    giraph_tuned_rules,
-    giraph_untuned_rules,
-    parse_execution_trace,
-    powergraph_execution_model,
-    powergraph_resource_model,
-    powergraph_tuned_rules,
-)
+from ..adapters import parse_execution_trace
 from ..core.demand import estimate_demand
 from ..core.issues import detect_bottleneck_issues, detect_imbalance_issues
 from ..core.outliers import find_outliers
@@ -44,7 +35,7 @@ from ..core.timeline import TimeGrid
 from ..core.upsample import relative_sampling_error, upsample, upsample_constant
 from ..parallel import parallel_map
 from ..systems import GiraphRun, PowerGraphConfig, PowerGraphRun, SyncBug
-from .runner import WorkloadSpec, characterize_run, run_workload
+from .runner import WorkloadSpec, analysis_inputs, characterize_run, run_workload
 
 __all__ = [
     "GROUND_TRUTH_INTERVAL",
@@ -102,12 +93,7 @@ def _cpu_sampling_errors(
     ratio: int,
 ) -> tuple[float, float]:
     """Grade10 and constant-strawman CPU upsampling errors for one run."""
-    if isinstance(run, GiraphRun):
-        resources = giraph_resource_model(run.config, run.machine_names)
-        rules = giraph_tuned_rules(run.config) if tuned else giraph_untuned_rules()
-    else:
-        resources = powergraph_resource_model(run.config, run.machine_names)
-        rules = powergraph_tuned_rules(run.config)
+    _, resources, rules = analysis_inputs(run, tuned=tuned)
     trace = parse_execution_trace(run.log, include_blocking=True, include_gc_phases=tuned)
 
     grid = TimeGrid.covering(0.0, run.makespan, GROUND_TRUTH_INTERVAL)
@@ -241,7 +227,7 @@ def _fig4_cells_for(system: str, dataset: str, algorithm: str, preset: str) -> l
     profile = characterize_run(
         run, tuned=True, min_phase_duration=_MIN_PHASE_DURATION[preset]
     )
-    model = giraph_execution_model() if system == "giraph" else powergraph_execution_model()
+    model = analysis_inputs(run)[0]
     seen = {b.resource for b in profile.bottlenecks}
     groups = {cls: [r for r in seen if r.startswith(f"{cls}@")] for cls in RESOURCE_CLASSES}
     groups = {cls: rs for cls, rs in groups.items() if rs}
@@ -317,7 +303,7 @@ def _fig5_cells_for(dataset: str, algorithm: str, preset: str, sync_bug: bool) -
     profile = characterize_run(run, tuned=True)
     issues = detect_imbalance_issues(
         profile.execution_trace,
-        powergraph_execution_model(),
+        analysis_inputs(run)[0],
         min_improvement=0.0,
     )
     by_subject = {i.subject: i.improvement for i in issues}
@@ -379,7 +365,7 @@ def experiment_fig6(
 
     report = find_outliers(
         trace,
-        powergraph_execution_model(),
+        analysis_inputs(run)[0],
         min_phase_duration=_MIN_PHASE_DURATION[preset],
     )
     worst_factor = 0.0

@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Callable
 
 from ..core import PerformanceProfile
-from ..parallel import CellSpec, EngineStats, derive_cell_seed, run_grid
+from ..parallel import CellSpec, EngineStats, run_grid
 from ..progress import RunStatus
 from .experiments import EVALUATION_GRID
-from .runner import WorkloadSpec, processing_time
+from .runner import WorkloadSpec
 
 __all__ = ["SuiteResult", "SuiteEntry", "run_suite"]
 
@@ -72,10 +72,6 @@ class SuiteResult:
         return g.processing_time / p.processing_time
 
 
-#: Backward-compatible alias (the implementation moved to the runner).
-_processing_time = processing_time
-
-
 def run_suite(
     *,
     preset: str = "small",
@@ -85,7 +81,6 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    per_cell_seeds: bool = False,
     on_status: Callable[[RunStatus], None] | None = None,
 ) -> SuiteResult:
     """Run the benchmark grid on the requested systems.
@@ -97,25 +92,14 @@ def run_suite(
     trace instead of re-simulating, and even on a trace miss the generated
     graph is shared across all cells of the same (dataset, preset) through
     the ``graph/`` layer.  Per-layer hit/miss counts land on
-    :attr:`SuiteResult.stats` (:class:`~repro.parallel.EngineStats`).  With
-    ``per_cell_seeds=True`` each cell is seeded independently (but
-    deterministically) from ``seed`` and its own identity, decorrelating
-    the grid's random streams; the default keeps the historical behavior
-    of passing ``seed`` to every cell verbatim.  ``on_status`` receives
+    :attr:`SuiteResult.stats` (:class:`~repro.parallel.EngineStats`).
+    Every cell simulates with ``seed``.  ``on_status`` receives
     the sweep's live :class:`~repro.progress.RunStatus` before the first
     cell starts (how ``repro serve`` exposes the run over HTTP).
     """
     cells = [
         CellSpec(
-            WorkloadSpec(
-                system,
-                dataset,
-                algorithm,
-                preset=preset,
-                seed=derive_cell_seed(seed, f"{system}/{dataset}/{algorithm}/{preset}")
-                if per_cell_seeds
-                else seed,
-            ),
+            WorkloadSpec(system, dataset, algorithm, preset=preset, seed=seed),
             characterize=characterize,
         )
         for system in systems

@@ -14,25 +14,14 @@ from dataclasses import dataclass, replace
 from .. import obs
 from ..obs_logging import get_logger
 from ..adapters import (
-    giraph_execution_model,
-    giraph_resource_model,
-    giraph_tuned_rules,
-    giraph_untuned_rules,
+    RUN_SYSTEMS,
+    expert_models,
     merge_blocking_into_resource_trace,
     parse_execution_trace,
-    powergraph_execution_model,
-    powergraph_resource_model,
-    powergraph_tuned_rules,
-    powergraph_untuned_rules,
-)
-from ..adapters.sparklike_model import (
-    sparklike_execution_model,
-    sparklike_resource_model,
-    sparklike_tuned_rules,
 )
 from ..algorithms import ALGORITHMS, AlgorithmResult
 from ..core import Grade10, PerformanceProfile
-from ..core.rules import RuleMatrix
+from ..core.outliers import DEFAULT_MIN_PHASE_DURATION
 from ..core.traces import ResourceTrace
 from ..graph import Graph
 from ..systems import (
@@ -240,26 +229,16 @@ def analysis_inputs(
 ):
     """The expert-model triple ``(execution model, resource model, rules)``.
 
-    One lookup shared by the batch path (:func:`characterize_run`) and
-    anything else that needs the per-system models without re-running
-    the selection logic.
+    The run's system, config and machines looked up in
+    :func:`repro.adapters.expert_models`.
     """
     system_run = run.system_run if isinstance(run, WorkloadRun) else run
-    if isinstance(system_run, GiraphRun):
-        model = giraph_execution_model()
-        resources = giraph_resource_model(system_run.config, system_run.machine_names)
-        rules = giraph_tuned_rules(system_run.config) if tuned else giraph_untuned_rules()
-    elif isinstance(system_run, PowerGraphRun):
-        model = powergraph_execution_model()
-        resources = powergraph_resource_model(system_run.config, system_run.machine_names)
-        rules = powergraph_tuned_rules(system_run.config) if tuned else powergraph_untuned_rules()
-    elif isinstance(system_run, SparkLikeRun):
-        model = sparklike_execution_model()
-        resources = sparklike_resource_model(system_run.config, system_run.machine_names)
-        rules = sparklike_tuned_rules(system_run.config) if tuned else RuleMatrix()
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown run type {type(system_run).__name__}")
-    return model, resources, rules
+    return expert_models(
+        RUN_SYSTEMS[type(system_run)],
+        system_run.config,
+        system_run.machine_names,
+        tuned=tuned,
+    )
 
 
 def characterize_run(
@@ -268,7 +247,7 @@ def characterize_run(
     tuned: bool = True,
     slice_duration: float = 0.01,
     monitoring_interval: float = 0.4,
-    min_phase_duration: float = 0.05,
+    min_phase_duration: float = DEFAULT_MIN_PHASE_DURATION,
 ) -> PerformanceProfile:
     """Run the Grade10 pipeline on a finished workload's artifacts.
 

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.adapters import parse_execution_trace
-from repro.adapters.sparklike_model import (
-    build_sparklike_models,
-    sparklike_execution_model,
-)
+from repro.adapters.sparklike_model import sparklike_execution_model
 from repro.core import Grade10
 from repro.systems.sparklike import (
     SparkLikeConfig,
@@ -17,6 +14,7 @@ from repro.systems.sparklike import (
     run_sparklike,
     wordcount_job,
 )
+from repro.workloads import analysis_inputs
 
 
 class TestJobValidation:
@@ -112,7 +110,7 @@ class TestSparklikeCharacterization:
     @pytest.fixture(scope="class")
     def profile(self):
         run = run_sparklike(join_job(scale=0.5), seed=1)
-        model, resources, rules = build_sparklike_models(run)
+        model, resources, rules = analysis_inputs(run)
         trace = parse_execution_trace(run.log)
         rtrace = run.recorder.sample(0.4, t_end=run.makespan)
         g10 = Grade10(model, resources, rules, slice_duration=0.02, min_phase_duration=0.05)

@@ -444,12 +444,7 @@ class TestLiveJobs:
 
         (cell,) = second.spec.cells()
         payload = RunCache(tmp_path).path_for(cache_key(trace_key_material(cell)), "trace")
-        profile = characterize_archive(
-            payload,
-            slice_duration=cell.slice_duration,
-            tuned=cell.tuned,
-            min_phase_duration=cell.min_phase_duration,
-        )
+        profile = characterize_archive(payload)
         width = max(1, profile.grid.n_slices // 8)  # about 8 windows per run
         expected = cut_windows(profile.bottlenecks, profile.execution_trace, width)
         assert [e["data"] for e in events if e["kind"] == "window.analyzed"] == [

@@ -17,7 +17,6 @@ from repro.parallel import (
     RunCache,
     cache_key,
     canonical_json,
-    cell_key_material,
     derive_cell_seed,
     execute_cell,
     graph_key_material,
@@ -197,10 +196,9 @@ class TestLayeredCache:
         """Cells differing only in analysis options simulate exactly once."""
         spec = WorkloadSpec("giraph", "graph500", "pr", preset="tiny")
         variants = [
+            CellSpec(spec),
             CellSpec(spec, characterize=True),
-            CellSpec(spec, characterize=True, tuned=False),
-            CellSpec(spec, characterize=True, slice_duration=0.02),
-            CellSpec(spec, characterize=True, min_phase_duration=0.1),
+            CellSpec(spec, characterize=True, live=True),
         ]
         results, stats = run_grid(variants, cache_dir=tmp_path)
         assert stats.trace_misses == 1 and stats.trace_hits == len(variants) - 1
@@ -212,9 +210,9 @@ class TestLayeredCache:
     def test_trace_key_excludes_downstream_knobs_only(self):
         spec = WorkloadSpec("giraph", "graph500", "pr", preset="tiny", seed=3)
         base = cache_key(trace_key_material(CellSpec(spec)))
-        assert base == cache_key(trace_key_material(CellSpec(spec, tuned=False)))
+        assert base == cache_key(trace_key_material(CellSpec(spec, characterize=True)))
         assert base == cache_key(
-            trace_key_material(CellSpec(spec, characterize=True, slice_duration=0.2))
+            trace_key_material(CellSpec(spec, characterize=True, live=True))
         )
         upstream = [
             WorkloadSpec("powergraph", "graph500", "pr", preset="tiny", seed=3),
@@ -371,17 +369,18 @@ class TestCacheKeyProperties:
         algorithm=st.sampled_from(("pr", "bfs", "wcc", "cdlp")),
         preset=st.sampled_from(("tiny", "small")),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        tuned=st.booleans(),
     )
     def test_cell_material_deterministic_and_complete(
-        self, system, dataset, algorithm, preset, seed, tuned
+        self, system, dataset, algorithm, preset, seed
     ):
         spec = WorkloadSpec(system, dataset, algorithm, preset=preset, seed=seed)
-        cell = CellSpec(spec, tuned=tuned)
-        material = cell_key_material(cell)
-        assert cache_key(material) == cache_key(cell_key_material(cell))
+        cell = CellSpec(spec)
+        material = trace_key_material(cell)
+        assert cache_key(material) == cache_key(trace_key_material(cell))
         # Every identity-bearing input is present in the material.
-        assert material["dataset"] == {"name": dataset, "preset": preset}
+        assert material["graph"] == cache_key(graph_key_material(spec))
+        assert graph_key_material(spec)["dataset"]["name"] == dataset
+        assert material["preset"] == preset
         assert material["system"]["name"] == system
         assert material["algorithm"] == algorithm
         assert material["seed"] == seed
@@ -397,20 +396,17 @@ class TestCacheKeyProperties:
             CellSpec(WorkloadSpec("giraph", "graph500", "bfs", preset="tiny", seed=0)),
             CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="small", seed=0)),
             CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="tiny", seed=7)),
-            CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="tiny", seed=0),
-                     tuned=False),
         ]
-        base_key = cache_key(cell_key_material(base))
-        keys = [cache_key(cell_key_material(v)) for v in variants]
+        base_key = cache_key(trace_key_material(base))
+        keys = [cache_key(trace_key_material(v)) for v in variants]
         assert base_key not in keys
         assert len(set(keys)) == len(keys)
 
     def test_analysis_options_do_not_change_the_key(self):
-        """One payload serves every analysis variant (characterize/slice)."""
+        """One payload serves every analysis variant (characterize/live)."""
         spec = WorkloadSpec("giraph", "graph500", "pr", preset="tiny")
-        k1 = cache_key(cell_key_material(CellSpec(spec, characterize=False)))
-        k2 = cache_key(cell_key_material(CellSpec(spec, characterize=True,
-                                                  slice_duration=0.02)))
+        k1 = cache_key(trace_key_material(CellSpec(spec, characterize=False)))
+        k2 = cache_key(trace_key_material(CellSpec(spec, characterize=True, live=True)))
         assert k1 == k2
 
     def test_model_fingerprints_track_config(self):
@@ -430,9 +426,3 @@ class TestDerivedSeeds:
         assert a != derive_cell_seed(1, "giraph/graph500/pr/tiny")
         assert a != derive_cell_seed(0, "giraph/graph500/bfs/tiny")
         assert 0 <= a < 2**32
-
-    def test_suite_per_cell_seeds(self):
-        res = run_suite(preset="tiny", grid=(("graph500", "pr"),),
-                        systems=("giraph", "powergraph"), per_cell_seeds=True)
-        seeds = {e.spec.seed for e in res}
-        assert len(seeds) == 2  # decorrelated across cells

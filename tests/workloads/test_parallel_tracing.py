@@ -132,3 +132,17 @@ class TestMergedTraceStructure:
         tracer = obs.uninstall()
         names = {e["name"] for e in _span_events(tracer)}
         assert "cell" in names
+
+    def test_only_a_warm_cell_spans_an_archive_load(self, tmp_path):
+        """The archive read is a ``load`` span inside ``cell``; cold cells read none."""
+        cell = CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="tiny"), characterize=True)
+        runs = []
+        for _ in ("cold", "warm"):
+            obs.install()
+            execute_cell(cell, tmp_path)
+            runs.append({e["name"]: e for e in _span_events(obs.uninstall())})
+        cold, warm = runs
+        assert "archive" in cold and "load" not in cold
+        load, outer = warm["load"], warm["cell"]
+        assert outer["ts"] <= load["ts"]
+        assert load["ts"] + load["dur"] <= outer["ts"] + outer["dur"]
