@@ -27,9 +27,7 @@ from :class:`~repro.core.demand.ResourceDemand`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -138,14 +136,6 @@ class AttributionResult:
     def total_usage(self, instance: PhaseInstance | str, resource: str) -> float:
         """Total consumption (units × seconds) attributed to an instance."""
         return float(self.usage(instance, resource).sum() * self.grid.slice_duration)
-
-    def rows_of(self, instance_ids: Sequence[str], resource: str) -> np.ndarray:
-        """Row of each instance in ``self[resource]``'s matrices (``-1`` where it has none)."""
-        return np.fromiter(
-            map(self._rows.get(resource, {}).get, instance_ids, itertools.repeat(-1)),
-            dtype=np.int64,
-            count=len(instance_ids),
-        )
 
     def demand_of(self, instance: PhaseInstance | str, resource: str) -> np.ndarray:
         """Per-slice estimated demand of this instance (no roll-up)."""

@@ -165,10 +165,10 @@ def cut_windows(
         return []
     edges = np.minimum(np.arange(start, stop + 1) * window_slices, grid.n_slices)
     lo, hi = int(edges[0]), int(edges[-1])
-    masked = [b.slices for b in report.bottlenecks if b.slices is not None]
+    sliced, masks = report.slice_masks()
     counts = (
-        np.add.reduceat(np.stack(masked)[:, lo:hi].astype(np.int64), edges[:-1] - lo, axis=1)
-        if masked
+        np.add.reduceat(masks[:, lo:hi].astype(np.int64), edges[:-1] - lo, axis=1)
+        if sliced
         else None
     )
     shares: list[list[LiveBottleneck]] = [[] for _ in range(stop - start)]

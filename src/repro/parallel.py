@@ -594,8 +594,13 @@ def _publish_windows(label: str, profile: "PerformanceProfile") -> dict[str, int
 
 
 def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
-    from .workloads.archive import characterize_archive, save_run
-    from .workloads.runner import characterize_run, processing_time, run_workload
+    from .workloads.archive import _save_run, characterize_archive
+    from .workloads.runner import (
+        _characterize,
+        _sample_monitoring,
+        processing_time,
+        run_workload,
+    )
 
     t0 = time.perf_counter()
     with obs.span("cell", label=cell.label, seed=cell.spec.seed):
@@ -657,6 +662,14 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
             "n_edges": int(run.graph.n_edges),
         }
 
+        # One monitoring sample serves both the archive (which writes its
+        # measurements) and the profile (which then merges the log's
+        # blocking events into it).
+        monitoring = (
+            _sample_monitoring(run.system_run, _MONITORING_INTERVAL)
+            if cache is not None or cell.characterize
+            else None
+        )
         if cache is not None:
             if graph_hit is False:
                 cache.store(
@@ -666,9 +679,10 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
                 )
 
             def write_payload(tmp: Path) -> None:
-                save_run(
+                _save_run(
                     run.system_run,
                     tmp,
+                    monitoring,
                     monitoring_interval=_MONITORING_INTERVAL,
                     ground_truth_interval=_GROUND_TRUTH_INTERVAL,
                 )
@@ -680,7 +694,7 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
         profile = None
         if cell.characterize:
             progress.publish("stage", cell.label, stage="characterize")
-            profile = characterize_run(run, monitoring_interval=_MONITORING_INTERVAL)
+            profile = _characterize(run.system_run, monitoring)
 
         return CellResult(
             spec=cell.spec,

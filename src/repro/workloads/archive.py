@@ -86,14 +86,33 @@ def save_run(
     ground_truth_interval: float = 0.05,
 ) -> Path:
     """Persist one run's artifacts; returns the directory path."""
+    return _save_run(
+        run,
+        directory,
+        run.recorder.sample(monitoring_interval, t_end=run.makespan),
+        monitoring_interval=monitoring_interval,
+        ground_truth_interval=ground_truth_interval,
+    )
+
+
+def _save_run(
+    run,
+    directory: str | Path,
+    monitoring: ResourceTrace,
+    *,
+    monitoring_interval: float,
+    ground_truth_interval: float,
+) -> Path:
+    """:func:`save_run` with the run's monitoring already sampled.
+
+    ``monitoring`` is the run's recorder sampled every
+    ``monitoring_interval`` seconds; only its measurements are written.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     write_jsonl(run.log, directory / EVENTS_FILE)
-    write_monitoring_csv(
-        run.recorder.sample(monitoring_interval, t_end=run.makespan),
-        directory / MONITORING_FILE,
-    )
+    write_monitoring_csv(monitoring, directory / MONITORING_FILE)
     write_monitoring_csv(
         run.recorder.sample(ground_truth_interval, t_end=run.makespan),
         directory / GROUND_TRUTH_FILE,

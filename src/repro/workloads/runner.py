@@ -256,19 +256,42 @@ def characterize_run(
     rules (implicit Variable 1×) and no GC modeling, as in §IV-B.
     """
     system_run = run.system_run if isinstance(run, WorkloadRun) else run
-    model, resources, rules = analysis_inputs(system_run, tuned=tuned)
+    return _characterize(
+        system_run,
+        _sample_monitoring(system_run, monitoring_interval),
+        tuned=tuned,
+        slice_duration=slice_duration,
+        min_phase_duration=min_phase_duration,
+    )
 
+
+def _sample_monitoring(
+    system_run: GiraphRun | PowerGraphRun | SparkLikeRun, interval: float
+) -> ResourceTrace:
+    """The run's coarse monitoring: its recorder sampled every ``interval`` seconds."""
+    with obs.span("sample", interval=interval):
+        return system_run.recorder.sample(interval, t_end=system_run.makespan)
+
+
+def _characterize(
+    system_run: GiraphRun | PowerGraphRun | SparkLikeRun,
+    monitoring: ResourceTrace,
+    *,
+    tuned: bool = True,
+    slice_duration: float = 0.01,
+    min_phase_duration: float = DEFAULT_MIN_PHASE_DURATION,
+) -> PerformanceProfile:
+    """:func:`characterize_run` on monitoring already sampled from the run.
+
+    The log's blocking events are merged into ``monitoring``.
+    """
+    model, resources, rules = analysis_inputs(system_run, tuned=tuned)
     execution_trace = parse_execution_trace(
         system_run.log,
         include_blocking=True,
         include_gc_phases=tuned,
     )
-    with obs.span("sample", interval=monitoring_interval):
-        resource_trace: ResourceTrace = system_run.recorder.sample(
-            monitoring_interval, t_end=system_run.makespan
-        )
-        merge_blocking_into_resource_trace(system_run.log, resource_trace)
-
+    merge_blocking_into_resource_trace(system_run.log, monitoring)
     g10 = Grade10(
         model,
         resources,
@@ -276,4 +299,4 @@ def characterize_run(
         slice_duration=slice_duration,
         min_phase_duration=min_phase_duration,
     )
-    return g10.characterize(execution_trace, resource_trace)
+    return g10.characterize(execution_trace, monitoring)

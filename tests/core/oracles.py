@@ -18,6 +18,14 @@ that ``repro.core`` runs as a batched array kernel:
 * :func:`_bottleneck_reductions` and :func:`detect_issues` — one
   bottleneck, one scenario and one replay at a time
   (``repro.core.issues``, §III-F);
+* :func:`bottleneck_scenarios` and :func:`imbalance_scenarios` — each
+  what-if as a dict of duration overrides, built one bottleneck and one
+  group member at a time from ``concurrent_groups`` and
+  ``descendants_of`` (the rows of ``repro.core.issues``' scenario
+  matrix, §III-F);
+* :func:`find_outliers` — one concurrent group and one worker at a time,
+  with ``statistics.median`` (``repro.core.outliers.find_outliers``,
+  §IV-D);
 * :func:`build_dependencies` and :class:`ScalarReplay` — the replay graph
   as per-leaf id sets, replayed one instance at a time in trace order
   (``ReplaySimulator``, its ``simulate``/``simulate_many`` and the
@@ -38,6 +46,7 @@ import fnmatch
 import json
 import weakref
 from dataclasses import dataclass
+from statistics import median
 from typing import Mapping
 
 import numpy as np
@@ -46,6 +55,7 @@ from repro.core.attribution import AttributionResult
 from repro.core.bottlenecks import Bottleneck, BottleneckKind, BottleneckReport
 from repro.core.demand import DemandEstimate, ResourceDemand
 from repro.core.issues import IssueReport, PerformanceIssue
+from repro.core.outliers import OutlierGroup, OutlierPhase, OutlierReport
 from repro.core.phases import ExecutionModel
 from repro.core.resources import ResourceModel
 from repro.core.rules import ExactRule, NoneRule, Rule, RuleMatrix, VariableRule
@@ -694,22 +704,76 @@ def detect_issues(
     replay = ScalarReplay(trace, model)
     baseline = replay.simulate(None).makespan
     issues: list[PerformanceIssue] = []
-
-    # Resource bottlenecks, one resource at a time.
-    for resource in sorted({b.resource for b in report}):
-        reductions = _bottleneck_reductions(resource, trace, report, upsampled, attribution)
-        if not reductions:
-            continue
-        durations = {iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()}
+    for resource, affected, durations in bottleneck_scenarios(
+        trace, report, upsampled, attribution
+    ):
         optimistic = replay.simulate(durations).makespan
         issues.append(
             _issue(
                 "resource-bottleneck", resource, f"Removing all bottlenecks on {resource!r}",
-                sorted(reductions), baseline, optimistic,
+                affected, baseline, optimistic,
             )
         )
+    for phase_path, affected, n_groups, durations in imbalance_scenarios(
+        trace, model, min_group_size
+    ):
+        optimistic = replay.simulate(durations).makespan
+        issues.append(
+            _issue(
+                "imbalance", phase_path,
+                f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
+                f"{n_groups} group(s)",
+                affected, baseline, optimistic,
+            )
+        )
+    return IssueReport(
+        baseline_makespan=baseline,
+        issues=[i for i in issues if i.improvement >= min_improvement],
+    )
 
-    # Imbalance, one balanceable phase type at a time.
+
+def bottleneck_scenarios(
+    trace: ExecutionTrace,
+    report: BottleneckReport,
+    upsampled: UpsampledTrace,
+    attribution: AttributionResult | None,
+    resource_groups: dict[str, list[str]] | None = None,
+) -> list[tuple[str, tuple[str, ...], dict[str, float]]]:
+    """``(subject, affected, overrides)`` of each resource-bottleneck what-if.
+
+    A group's reduction of an instance sums its members' reductions in
+    member order; the instance's override is its duration minus that sum,
+    at least 0.
+    """
+    if resource_groups is None:
+        resource_groups = {r: [r] for r in sorted({b.resource for b in report})}
+    per_resource = {
+        r: _bottleneck_reductions(r, trace, report, upsampled, attribution)
+        for members in resource_groups.values()
+        for r in members
+    }
+    out = []
+    for subject, members in resource_groups.items():
+        reductions: dict[str, float] = {}
+        for resource in members:
+            for iid, red in per_resource[resource].items():
+                reductions[iid] = reductions.get(iid, 0.0) + red
+        if not reductions:
+            continue
+        durations = {iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()}
+        out.append((subject, tuple(sorted(reductions)), durations))
+    return out
+
+
+def imbalance_scenarios(
+    trace: ExecutionTrace, model: ExecutionModel | None, min_group_size: int = 2
+) -> list[tuple[str, tuple[str, ...], int, dict[str, float]]]:
+    """``(phase_path, affected, n_groups, overrides)`` of each imbalance what-if.
+
+    Per balanceable phase type, every group gets its mean duration: a leaf
+    member directly, an inner member by scaling each leaf descendant by
+    ``mean / duration`` (1.0 for a zero-length member).
+    """
     groups_by_type: dict[str, list[list[str]]] = {}
     for (_, phase_path), insts in trace.concurrent_groups().items():
         if len(insts) < min_group_size:
@@ -722,8 +786,9 @@ def detect_issues(
             if not node.concurrent or not node.balanceable:
                 continue
         groups_by_type.setdefault(phase_path, []).append([i.instance_id for i in insts])
+    out = []
     for phase_path, groups in sorted(groups_by_type.items()):
-        durations = {}
+        durations: dict[str, float] = {}
         affected: list[str] = []
         for group in groups:
             mean = float(np.mean([trace[iid].duration for iid in group]))
@@ -737,19 +802,72 @@ def detect_issues(
                         if not trace.children_of(desc):
                             durations[desc.instance_id] = desc.duration * scale
                 affected.append(iid)
-        optimistic = replay.simulate(durations).makespan
-        issues.append(
-            _issue(
-                "imbalance", phase_path,
-                f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
-                f"{len(groups)} group(s)",
-                affected, baseline, optimistic,
+        out.append((phase_path, tuple(affected), len(groups), durations))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Outliers (§IV-D)
+# --------------------------------------------------------------------------
+
+
+def find_outliers(
+    trace: ExecutionTrace,
+    model: ExecutionModel | None = None,
+    *,
+    threshold: float = 1.5,
+    min_phase_duration: float = 0.05,
+    min_group_size: int = 3,
+) -> OutlierReport:
+    """Straggler detection one concurrent group and one worker at a time."""
+    if threshold <= 1.0:
+        raise ValueError(f"threshold must be > 1.0, got {threshold}")
+    report = OutlierReport(min_phase_duration=min_phase_duration)
+    for (parent_id, phase_path), insts in sorted(
+        trace.concurrent_groups().items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
+    ):
+        if len(insts) < min_group_size:
+            continue
+        if model is not None:
+            try:
+                if not model[phase_path].concurrent:
+                    continue
+            except KeyError:
+                continue
+
+        # Per-worker medians: the paper distinguishes cross-worker imbalance
+        # (poor partitioning) from same-worker outliers (the sync bug); the
+        # outlier test is against same-worker peers.
+        by_worker: dict[tuple[str | None, str | None], list[PhaseInstance]] = {}
+        for inst in insts:
+            by_worker.setdefault((inst.machine, inst.worker), []).append(inst)
+
+        outliers: list[OutlierPhase] = []
+        for peers in by_worker.values():
+            if len(peers) < min_group_size:
+                continue
+            med = median(p.duration for p in peers)
+            if med <= 0.0:
+                continue
+            for inst in peers:
+                if inst.duration > threshold * med:
+                    outliers.append(OutlierPhase(inst.instance_id, inst.duration, med))
+
+        outlier_ids = {o.instance_id for o in outliers}
+        longest = max(i.duration for i in insts)
+        non_outliers = [i.duration for i in insts if i.instance_id not in outlier_ids]
+        longest_wo = max(non_outliers) if non_outliers else longest
+        report.groups.append(
+            OutlierGroup(
+                phase_path=phase_path,
+                parent_id=parent_id,
+                n_phases=len(insts),
+                longest=longest,
+                longest_without_outliers=longest_wo,
+                outliers=sorted(outliers, key=lambda o: o.factor, reverse=True),
             )
         )
-    return IssueReport(
-        baseline_makespan=baseline,
-        issues=[i for i in issues if i.improvement >= min_improvement],
-    )
+    return report
 
 
 # --------------------------------------------------------------------------

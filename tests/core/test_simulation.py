@@ -183,7 +183,7 @@ class TestUnknownInstanceError:
 
 
 class TestVectorizedReplayEquivalence:
-    """The level-scheduled array replay must match the scalar reference."""
+    """The stage-scheduled array replay must match the scalar reference."""
 
     def _simulator(self) -> ReplaySimulator:
         from repro.adapters import giraph_execution_model, parse_execution_trace

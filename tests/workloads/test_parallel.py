@@ -119,6 +119,34 @@ class TestRunCache:
         profile = characterize_archive(payload)
         assert profile.makespan == pytest.approx(result.makespan)
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_cold_cell_samples_its_monitoring_once_per_interval(
+        self, cached, tmp_path, monkeypatch
+    ):
+        """The archive's monitoring.csv and the profile share one 0.4 s sample."""
+        from repro.cluster.metrics import MetricsRecorder
+        from repro.workloads.archive import load_run
+
+        intervals = []
+        sample = MetricsRecorder.sample
+
+        def counting(self, interval, *args, **kwargs):
+            intervals.append(interval)
+            return sample(self, interval, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRecorder, "sample", counting)
+        cell = CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="tiny"),
+                        characterize=True)
+        result = execute_cell(cell, tmp_path if cached else None)
+        assert sorted(intervals) == ([0.05, 0.4] if cached else [0.4])
+        if cached:
+            # The archive holds the measurements the profile used.
+            archived = load_run(RunCache(tmp_path).path_for(result.key))[1]
+            used = result.profile.resource_trace
+            assert archived.measured_resources() == used.measured_resources()
+            for name in used.measured_resources():
+                assert archived.measurements(name) == used.measurements(name)
+
     def test_truncated_payload_is_a_miss(self, tmp_path):
         cell = CellSpec(WorkloadSpec("giraph", "graph500", "pr", preset="tiny"))
         result = execute_cell(cell, tmp_path)
